@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <span>
+#include <utility>
 
 #include "geo/polar_stereo.hpp"
 #include "util/stats.hpp"
@@ -39,47 +40,62 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   out.track_heading = granule.track_heading;
   out.epoch_time = granule.epoch_time;
 
-  // Confidence filter + projection + geophysical correction.
+  // Confidence filter, then sort by along-track distance (footprint jitter
+  // makes raw order ragged). Keys carry the raw index so equal distances
+  // keep raw order.
   const auto n = beam.size();
-  std::vector<std::size_t> keep;
-  keep.reserve(n);
+  std::vector<std::pair<double, std::size_t>> keys;
+  keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf)) keep.push_back(i);
+    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf))
+      keys.emplace_back(beam.along_track[i], i);
+  std::sort(keys.begin(), keys.end());
 
-  // Sort by along-track distance (footprint jitter makes raw order ragged).
-  std::sort(keep.begin(), keep.end(),
-            [&](std::size_t a, std::size_t b) { return beam.along_track[a] < beam.along_track[b]; });
-
-  out.s.reserve(keep.size());
-  for (std::size_t i : keep) {
+  // Projection + geophysical correction + background interpolation, each
+  // photon written once into its sorted slot.
+  const std::size_t m = keys.size();
+  const bool has_truth = !beam.truth_class.empty();
+  out.s.resize(m);
+  out.h.resize(m);
+  out.t.resize(m);
+  out.x.resize(m);
+  out.y.resize(m);
+  out.bckgrd_rate.resize(m);
+  if (has_truth) out.truth_class.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t i = keys[k].second;
     const geo::Xy p = proj.forward({beam.lon[i], beam.lat[i]});
     double h = beam.h[i];
     if (config.apply_geo_correction)
       h -= corrections.total(granule.epoch_time + beam.delta_time[i], p.x, p.y);
-    out.s.push_back(beam.along_track[i]);
-    out.h.push_back(h);
-    out.t.push_back(beam.delta_time[i]);
-    out.x.push_back(p.x);
-    out.y.push_back(p.y);
-    out.bckgrd_rate.push_back(
-        interp_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]));
-    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+    out.s[k] = keys[k].first;
+    out.h[k] = h;
+    out.t[k] = beam.delta_time[i];
+    out.x[k] = p.x;
+    out.y[k] = p.y;
+    out.bckgrd_rate[k] =
+        interp_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]);
+    if (has_truth) out.truth_class[k] = beam.truth_class[i];
   }
 
-  if (out.s.empty()) return out;
+  if (m == 0) return out;
 
   // Reject ineffective reference photons: compare each photon to the median
   // height of its along-track bin (binned median = robust local surface).
+  // The series is sorted, so each bin is one contiguous run of it.
   const double s0 = out.s.front();
-  const auto n_bins =
-      static_cast<std::size_t>((out.s.back() - s0) / config.outlier_bin_m) + 1;
-  std::vector<std::vector<double>> bins(n_bins);
-  for (std::size_t i = 0; i < out.s.size(); ++i)
-    bins[static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m)].push_back(out.h[i]);
-  std::vector<double> bin_median(n_bins, 0.0);
-  for (std::size_t b = 0; b < n_bins; ++b)
-    bin_median[b] = bins[b].empty() ? std::numeric_limits<double>::quiet_NaN()
-                                    : util::median(bins[b]);
+  const auto bin_of = [&](double s) {
+    return static_cast<std::size_t>((s - s0) / config.outlier_bin_m);
+  };
+  const std::size_t n_bins = bin_of(out.s.back()) + 1;
+  std::vector<double> bin_median(n_bins, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t lo = 0; lo < m;) {
+    const std::size_t b = bin_of(out.s[lo]);
+    std::size_t hi = lo + 1;
+    while (hi < m && bin_of(out.s[hi]) == b) ++hi;
+    bin_median[b] = util::median(std::span<const double>(out.h).subspan(lo, hi - lo));
+    lo = hi;
+  }
   // Fill empty bins from the nearest non-empty neighbour.
   for (std::size_t b = 0; b < n_bins; ++b) {
     if (!std::isnan(bin_median[b])) continue;
@@ -89,23 +105,27 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
     }
   }
 
-  PreprocessedBeam filtered;
-  filtered.beam = out.beam;
-  filtered.track_origin = out.track_origin;
-  filtered.track_heading = out.track_heading;
-  filtered.epoch_time = out.epoch_time;
-  for (std::size_t i = 0; i < out.s.size(); ++i) {
-    const auto b = static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
-    if (std::abs(out.h[i] - bin_median[b]) > config.outlier_threshold_m) continue;
-    filtered.s.push_back(out.s[i]);
-    filtered.h.push_back(out.h[i]);
-    filtered.t.push_back(out.t[i]);
-    filtered.x.push_back(out.x[i]);
-    filtered.y.push_back(out.y[i]);
-    filtered.bckgrd_rate.push_back(out.bckgrd_rate[i]);
-    if (!out.truth_class.empty()) filtered.truth_class.push_back(out.truth_class[i]);
+  // Compact the survivors to the front of every array, in place.
+  std::size_t w = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (std::abs(out.h[k] - bin_median[bin_of(out.s[k])]) > config.outlier_threshold_m) continue;
+    out.s[w] = out.s[k];
+    out.h[w] = out.h[k];
+    out.t[w] = out.t[k];
+    out.x[w] = out.x[k];
+    out.y[w] = out.y[k];
+    out.bckgrd_rate[w] = out.bckgrd_rate[k];
+    if (has_truth) out.truth_class[w] = out.truth_class[k];
+    ++w;
   }
-  return filtered;
+  out.s.resize(w);
+  out.h.resize(w);
+  out.t.resize(w);
+  out.x.resize(w);
+  out.y.resize(w);
+  out.bckgrd_rate.resize(w);
+  if (has_truth) out.truth_class.resize(w);
+  return out;
 }
 
 std::vector<PreprocessedBeam> preprocess_strong_beams(const Granule& granule,

@@ -2,12 +2,19 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 
 #include <unistd.h>
+
+// The format stores scalars and dataset payloads as raw host bytes, and
+// crc32 loads 4-byte words; both are only correct on little-endian hosts.
+static_assert(std::endian::native == std::endian::little,
+              "h5lite encodes little-endian with raw memcpy; big-endian hosts are unsupported");
 
 namespace is2::h5 {
 
@@ -35,18 +42,44 @@ const char* dtype_name(DType t) {
   return "?";
 }
 
+namespace {
+
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// kCrcTables[0] is the classic bytewise table, and kCrcTables[k][b] is the
+// CRC contribution of byte b followed by k zero bytes, so eight table
+// lookups advance the register over one 8-byte word.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}();
+
+}  // namespace
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Little-endian word loads (see the static_assert above); memcpy keeps
+    // misaligned starts well-defined.
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -191,44 +224,54 @@ File File::deserialize(std::span<const std::uint8_t> buffer) {
   const auto version = r.raw<std::uint32_t>();
   if (version != kVersion) throw H5Error("h5lite: unsupported version");
   const auto payload = r.raw<std::uint64_t>();
-  if (16 + payload + 4 > buffer.size()) throw H5Error("h5lite: truncated payload");
-  const std::uint32_t want =
-      crc32(buffer.subspan(16, static_cast<std::size_t>(payload)));
+  if (payload > r.remaining() || r.remaining() - payload < 4)
+    throw H5Error("h5lite: truncated payload");
+  // Integrity first: nothing in the body is trusted (or allocated for)
+  // until the stored CRC matches.
+  const auto body_span = buffer.subspan(r.pos(), static_cast<std::size_t>(payload));
+  const auto stored = Reader(buffer.subspan(r.pos() + body_span.size())).raw<std::uint32_t>();
+  if (stored != crc32(body_span)) throw H5Error("h5lite: checksum mismatch (corrupt file)");
 
+  // A CRC-valid body can still carry length fields that lie (a crafted
+  // file, or a writer bug): every size is bounded by the bytes actually
+  // left in the body before anything is allocated.
+  Reader body(body_span);
   File f;
-  const auto n_datasets = r.raw<std::uint32_t>();
+  const auto n_datasets = body.raw<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_datasets; ++i) {
-    const std::string path = r.str();
+    const std::string path = body.str();
     Entry e;
-    const auto dtype_raw = r.raw<std::uint8_t>();
+    const auto dtype_raw = body.raw<std::uint8_t>();
     if (dtype_raw > static_cast<std::uint8_t>(DType::I8)) throw H5Error("h5lite: bad dtype");
     e.dtype = static_cast<DType>(dtype_raw);
-    const auto ndim = r.raw<std::uint8_t>();
+    const auto ndim = body.raw<std::uint8_t>();
     e.shape.resize(ndim);
     std::uint64_t n = 1;
     for (auto& d : e.shape) {
-      d = r.raw<std::uint64_t>();
+      d = body.raw<std::uint64_t>();
+      if (d != 0 && n > std::numeric_limits<std::uint64_t>::max() / d)
+        throw H5Error("h5lite: dataset shape overflows");
       n *= d;
     }
-    const auto nbytes = r.raw<std::uint64_t>();
+    const auto nbytes = body.raw<std::uint64_t>();
+    if (nbytes > body.remaining()) throw H5Error("h5lite: dataset larger than payload");
     if (nbytes != n * dtype_size(e.dtype)) throw H5Error("h5lite: dataset size mismatch");
     e.bytes.resize(static_cast<std::size_t>(nbytes));
-    r.bytes(e.bytes.data(), e.bytes.size());
+    body.bytes(e.bytes.data(), e.bytes.size());
     f.datasets_[path] = std::move(e);
   }
-  const auto n_attrs = r.raw<std::uint32_t>();
+  const auto n_attrs = body.raw<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_attrs; ++i) {
-    const std::string path = r.str();
-    const auto kind = r.raw<std::uint8_t>();
+    const std::string path = body.str();
+    const auto kind = body.raw<std::uint8_t>();
     switch (kind) {
-      case 0: f.attrs_[path] = r.raw<double>(); break;
-      case 1: f.attrs_[path] = r.raw<std::int64_t>(); break;
-      case 2: f.attrs_[path] = r.str(); break;
+      case 0: f.attrs_[path] = body.raw<double>(); break;
+      case 1: f.attrs_[path] = body.raw<std::int64_t>(); break;
+      case 2: f.attrs_[path] = body.str(); break;
       default: throw H5Error("h5lite: bad attribute kind");
     }
   }
-  const auto got = Reader(buffer.subspan(r.pos())).raw<std::uint32_t>();
-  if (got != want) throw H5Error("h5lite: checksum mismatch (corrupt file)");
+  if (body.remaining() != 0) throw H5Error("h5lite: trailing bytes in payload");
   return f;
 }
 

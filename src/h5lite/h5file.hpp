@@ -10,6 +10,15 @@
 //                    u64 nbytes, raw bytes
 //   u32 n_attrs    | per attr: path, u8 kind, value
 //   u32 crc32 of everything after the 16-byte header
+//
+// Little-endian hosts only: scalars and dataset payloads are encoded as raw
+// host bytes (memcpy), and crc32 reads its input as little-endian words.
+// h5file.cpp static_asserts this, so a big-endian build fails to compile
+// rather than writing files no other host can read.
+//
+// load/deserialize verify the CRC before parsing anything, then bound every
+// length field by the bytes left in the payload, so a corrupt or crafted
+// file raises H5Error without allocating for its claimed sizes.
 #pragma once
 
 #include <cstddef>
@@ -153,7 +162,9 @@ class File {
   std::map<std::string, AttrValue> attrs_;
 };
 
-/// CRC-32 (IEEE 802.3) used for file integrity.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used for file
+/// integrity. Slicing-by-8: eight table lookups per 8-byte word, bytewise
+/// for the tail; the value is that of the classic bytewise algorithm.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 // ---------------------------------------------------------------------------
@@ -198,7 +209,7 @@ class ByteReader {
     return v;
   }
   void bytes(std::uint8_t* p, std::size_t n) {
-    if (pos_ + n > buf_.size()) throw H5Error("h5lite: truncated file");
+    if (n > remaining()) throw H5Error("h5lite: truncated file");
     std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
   }

@@ -1,10 +1,13 @@
-// h5lite container tests: typed round-trips, attributes, error paths and
-// corruption detection (checksum / truncation / bad magic).
+// h5lite container tests: typed round-trips, attributes, error paths,
+// corruption detection (checksum / truncation / bad magic / length lies) and
+// the CRC-32 against a bytewise reference.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "h5lite/h5file.hpp"
 
@@ -189,6 +192,121 @@ TEST(H5Lite, ScanRejectsTruncationAndBadMagic) {
   }
   EXPECT_THROW(File::scan(path), H5Error);
   std::remove(path.c_str());
+}
+
+/// The classic byte-at-a-time CRC-32 (reflected 0xEDB88320): the oracle the
+/// slicing-by-8 crc32 must match value for value.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(H5LiteCrc, KnownAnswers) {
+  constexpr std::string_view check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(H5LiteCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..257 cover an empty input, every tail length after the 8-byte
+  // words and several full words; offsets 0..7 misalign the word loads.
+  std::vector<std::uint8_t> buf(8 + 257);
+  std::uint32_t state = 0x12345678u;
+  for (auto& b : buf) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(crc32(s), crc32_bytewise(s)) << "offset " << offset << " len " << len;
+    }
+}
+
+TEST(H5LiteCrc, FixedBlobFromCurrentFormatStillLoads) {
+  // File::serialize() output (format version 1) captured as bytes: two
+  // datasets and two attributes, CRC written by the bytewise implementation.
+  // Every file already on disk must keep loading.
+  const std::vector<std::uint8_t> blob = {
+      0x48, 0x35, 0x4c, 0x54, 0x01, 0x00, 0x00, 0x00, 0x87, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00,
+      0x2f, 0x67, 0x74, 0x31, 0x72, 0x2f, 0x63, 0x6f, 0x6e, 0x66, 0x05, 0x01,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0xff, 0x00, 0x03, 0x02, 0x07, 0x00, 0x00,
+      0x00, 0x2f, 0x67, 0x74, 0x31, 0x72, 0x2f, 0x68, 0x00, 0x01, 0x03, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0xc0, 0xfc, 0xa9, 0xf1, 0xd2, 0x4d, 0x62,
+      0x50, 0x3f, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x2f, 0x69,
+      0x64, 0x02, 0x0a, 0x00, 0x00, 0x00, 0x41, 0x54, 0x4c, 0x30, 0x33, 0x5f,
+      0x62, 0x6c, 0x6f, 0x62, 0x02, 0x00, 0x00, 0x00, 0x2f, 0x6e, 0x01, 0x07,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3d, 0xd7, 0x0a, 0x48};
+  const File g = File::deserialize(blob);
+  EXPECT_EQ(g.get<double>("/gt1r/h"), (std::vector<double>{1.5, -2.25, 1e-3}));
+  EXPECT_EQ(g.get<std::int8_t>("/gt1r/conf"), (std::vector<std::int8_t>{4, -1, 0, 3, 2}));
+  EXPECT_EQ(g.attr_string("/id"), "ATL03_blob");
+  EXPECT_EQ(g.attr_int("/n"), 7);
+  EXPECT_EQ(g.serialize(), blob);  // and re-encodes to the same bytes
+}
+
+/// A well-formed header whose single f64 dataset claims 2^37 elements
+/// (1 TiB) while the payload carries none of them.
+std::vector<std::uint8_t> length_lie(bool matching_crc) {
+  ByteWriter body;
+  body.raw(std::uint32_t{1});  // n_datasets
+  body.str("/lie");
+  body.raw(static_cast<std::uint8_t>(DType::F64));
+  body.raw(std::uint8_t{1});  // ndim
+  const std::uint64_t n = std::uint64_t{1} << 37;
+  body.raw(n);
+  body.raw(n * 8);             // nbytes, consistent with the shape
+  body.raw(std::uint32_t{0});  // n_attrs
+  ByteWriter out;
+  out.bytes(reinterpret_cast<const std::uint8_t*>("H5LT"), 4);
+  out.raw(std::uint32_t{1});
+  out.raw(static_cast<std::uint64_t>(body.buf.size()));
+  out.bytes(body.buf.data(), body.buf.size());
+  out.raw(matching_crc ? crc32(body.buf) : crc32(body.buf) ^ 0x1u);
+  return out.buf;
+}
+
+TEST(H5Lite, LengthLieWithWrongCrcRaisesH5Error) {
+  EXPECT_THROW(File::deserialize(length_lie(false)), H5Error);
+}
+
+TEST(H5Lite, LengthLieWithMatchingCrcRaisesH5Error) {
+  EXPECT_THROW(File::deserialize(length_lie(true)), H5Error);
+}
+
+TEST(H5Lite, PayloadLengthLiesRaiseH5Error) {
+  File f;
+  f.put<double>("/data", std::vector<double>(8, 2.0));
+  const auto good = f.serialize();
+  {
+    auto buf = good;  // payload_bytes near 2^64: must not wrap the bound check
+    for (int i = 8; i < 16; ++i) buf[i] = 0xFF;
+    EXPECT_THROW(File::deserialize(buf), H5Error);
+  }
+  {
+    // A CRC-valid payload with one stray byte after the last attribute:
+    // parsing must end exactly at the payload end.
+    std::vector<std::uint8_t> body(good.begin() + 16, good.end() - 4);
+    body.push_back(0);
+    ByteWriter out;
+    out.bytes(good.data(), 8);
+    out.raw(static_cast<std::uint64_t>(body.size()));
+    out.bytes(body.data(), body.size());
+    out.raw(crc32(body));
+    EXPECT_THROW(File::deserialize(out.buf), H5Error);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Preprocessing tests: confidence filtering, geophysical correction,
-// outlier rejection and along-track ordering.
+// outlier rejection, along-track ordering, and bitwise equality with a
+// reference copy of the original two-pass algorithm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
@@ -127,6 +131,246 @@ TEST(Preprocess, EmptyBeamYieldsEmptyResult) {
   empty.beam = BeamId::Gt1r;
   const auto pre = atl03::preprocess_beam(fx.granule, empty, fx.corrections);
   EXPECT_EQ(pre.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference oracle: the original two-pass preprocess_beam (index sort, build
+// every array, bin medians via one vector per bin, then copy the survivors
+// into a second beam). The one change is std::stable_sort in place of
+// std::sort: the original left the order of equal along-track distances
+// unspecified, and raw index order is the order preprocess_beam now
+// guarantees.
+// ---------------------------------------------------------------------------
+
+double interp_background_reference(const std::vector<double>& bin_t,
+                                   const std::vector<double>& bin_rate, double t) {
+  if (bin_t.empty()) return 0.0;
+  if (t <= bin_t.front()) return bin_rate.front();
+  if (t >= bin_t.back()) return bin_rate.back();
+  const auto it = std::lower_bound(bin_t.begin(), bin_t.end(), t);
+  const auto i = static_cast<std::size_t>(it - bin_t.begin());
+  const double t0 = bin_t[i - 1], t1 = bin_t[i];
+  const double w = (t - t0) / (t1 - t0);
+  return bin_rate[i - 1] * (1.0 - w) + bin_rate[i] * w;
+}
+
+atl03::PreprocessedBeam preprocess_beam_reference(const atl03::Granule& granule,
+                                                  const atl03::BeamData& beam,
+                                                  const geo::GeoCorrections& corrections,
+                                                  const PreprocessConfig& config) {
+  beam.check_consistent();
+  const geo::PolarStereo proj = geo::PolarStereo::epsg3976();
+
+  atl03::PreprocessedBeam out;
+  out.beam = beam.beam;
+  out.track_origin = granule.track_origin;
+  out.track_heading = granule.track_heading;
+  out.epoch_time = granule.epoch_time;
+
+  const auto n = beam.size();
+  std::vector<std::size_t> keep;
+  keep.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf)) keep.push_back(i);
+  std::stable_sort(keep.begin(), keep.end(), [&](std::size_t a, std::size_t b) {
+    return beam.along_track[a] < beam.along_track[b];
+  });
+
+  out.s.reserve(keep.size());
+  for (std::size_t i : keep) {
+    const geo::Xy p = proj.forward({beam.lon[i], beam.lat[i]});
+    double h = beam.h[i];
+    if (config.apply_geo_correction)
+      h -= corrections.total(granule.epoch_time + beam.delta_time[i], p.x, p.y);
+    out.s.push_back(beam.along_track[i]);
+    out.h.push_back(h);
+    out.t.push_back(beam.delta_time[i]);
+    out.x.push_back(p.x);
+    out.y.push_back(p.y);
+    out.bckgrd_rate.push_back(
+        interp_background_reference(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]));
+    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+  }
+
+  if (out.s.empty()) return out;
+
+  const double s0 = out.s.front();
+  const auto n_bins =
+      static_cast<std::size_t>((out.s.back() - s0) / config.outlier_bin_m) + 1;
+  std::vector<std::vector<double>> bins(n_bins);
+  for (std::size_t i = 0; i < out.s.size(); ++i)
+    bins[static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m)].push_back(out.h[i]);
+  std::vector<double> bin_median(n_bins, 0.0);
+  for (std::size_t b = 0; b < n_bins; ++b)
+    bin_median[b] = bins[b].empty() ? std::numeric_limits<double>::quiet_NaN()
+                                    : util::median(bins[b]);
+  for (std::size_t b = 0; b < n_bins; ++b) {
+    if (!std::isnan(bin_median[b])) continue;
+    for (std::size_t d = 1; d < n_bins; ++d) {
+      if (b >= d && !std::isnan(bin_median[b - d])) { bin_median[b] = bin_median[b - d]; break; }
+      if (b + d < n_bins && !std::isnan(bin_median[b + d])) { bin_median[b] = bin_median[b + d]; break; }
+    }
+  }
+
+  atl03::PreprocessedBeam filtered;
+  filtered.beam = out.beam;
+  filtered.track_origin = out.track_origin;
+  filtered.track_heading = out.track_heading;
+  filtered.epoch_time = out.epoch_time;
+  for (std::size_t i = 0; i < out.s.size(); ++i) {
+    const auto b = static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
+    if (std::abs(out.h[i] - bin_median[b]) > config.outlier_threshold_m) continue;
+    filtered.s.push_back(out.s[i]);
+    filtered.h.push_back(out.h[i]);
+    filtered.t.push_back(out.t[i]);
+    filtered.x.push_back(out.x[i]);
+    filtered.y.push_back(out.y[i]);
+    filtered.bckgrd_rate.push_back(out.bckgrd_rate[i]);
+    if (!out.truth_class.empty()) filtered.truth_class.push_back(out.truth_class[i]);
+  }
+  return filtered;
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void expect_bitwise_equal(const atl03::PreprocessedBeam& got,
+                          const atl03::PreprocessedBeam& want) {
+  EXPECT_EQ(got.beam, want.beam);
+  EXPECT_TRUE(bitwise_equal(std::vector<double>{got.track_origin.x, got.track_origin.y,
+                                                got.track_heading, got.epoch_time},
+                            std::vector<double>{want.track_origin.x, want.track_origin.y,
+                                                want.track_heading, want.epoch_time}));
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(bitwise_equal(got.s, want.s)) << "s";
+  EXPECT_TRUE(bitwise_equal(got.h, want.h)) << "h";
+  EXPECT_TRUE(bitwise_equal(got.t, want.t)) << "t";
+  EXPECT_TRUE(bitwise_equal(got.x, want.x)) << "x";
+  EXPECT_TRUE(bitwise_equal(got.y, want.y)) << "y";
+  EXPECT_TRUE(bitwise_equal(got.bckgrd_rate, want.bckgrd_rate)) << "bckgrd_rate";
+  EXPECT_TRUE(bitwise_equal(got.truth_class, want.truth_class)) << "truth_class";
+}
+
+atl03::PreprocessedBeam check_against_reference(const atl03::BeamData& beam,
+                                                const PreprocessConfig& config = {}) {
+  Fixture fx;
+  const auto got = atl03::preprocess_beam(fx.granule, beam, fx.corrections, config);
+  expect_bitwise_equal(got, preprocess_beam_reference(fx.granule, beam, fx.corrections, config));
+  return got;
+}
+
+/// The photons of `beam` for which keep(i) holds, every per-photon array cut
+/// alike; background bins are kept whole.
+template <typename Pred>
+atl03::BeamData select_photons(const atl03::BeamData& beam, Pred keep) {
+  atl03::BeamData out;
+  out.beam = beam.beam;
+  out.bckgrd_delta_time = beam.bckgrd_delta_time;
+  out.bckgrd_rate = beam.bckgrd_rate;
+  for (std::size_t i = 0; i < beam.size(); ++i) {
+    if (!keep(i)) continue;
+    out.delta_time.push_back(beam.delta_time[i]);
+    out.lat.push_back(beam.lat[i]);
+    out.lon.push_back(beam.lon[i]);
+    out.h.push_back(beam.h[i]);
+    out.along_track.push_back(beam.along_track[i]);
+    out.signal_conf.push_back(beam.signal_conf[i]);
+    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+  }
+  return out;
+}
+
+TEST(PreprocessReference, FixtureBitIdenticalAcrossConfigs) {
+  Fixture fx;
+  for (const auto& beam : fx.granule.beams)
+    for (const auto conf : {SignalConf::Low, SignalConf::High})
+      for (const bool geo : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "conf " << static_cast<int>(conf) << " geo " << geo);
+        PreprocessConfig cfg;
+        cfg.min_conf = conf;
+        cfg.apply_geo_correction = geo;
+        const auto got = check_against_reference(beam, cfg);
+        EXPECT_GT(got.size(), 0u);
+      }
+}
+
+TEST(PreprocessReference, GapsWiderThanABinFillFromNeighbours) {
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  // Two holes of 8 and 20 bins: their empty bins take a neighbour's median.
+  const auto gappy = select_photons(raw, [&](std::size_t i) {
+    const double s = raw.along_track[i];
+    return !(s >= 1'000.0 && s < 1'200.0) && !(s >= 3'000.0 && s < 3'500.0);
+  });
+  ASSERT_LT(gappy.size(), raw.size());
+  const auto got = check_against_reference(gappy);
+  for (std::size_t i = 1; i < got.size(); ++i)
+    if (got.s[i] >= 3'500.0 && got.s[i - 1] < 3'000.0) return;  // the gap survives
+  ADD_FAILURE() << "expected the 500 m along-track gap in the output";
+}
+
+TEST(PreprocessReference, PlantedOutliersRemovedIdentically) {
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  for (std::size_t k = 0; k < 40; ++k) raw.h[37 + k * 97] += (k % 2 ? 60.0 : -45.0);
+  const auto clean = check_against_reference(fx.granule.beam(BeamId::Gt2r));
+  const auto got = check_against_reference(raw);
+  EXPECT_LT(got.size(), clean.size());
+}
+
+TEST(PreprocessReference, BeamWithoutTruth) {
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt3r);
+  raw.truth_class.clear();
+  const auto got = check_against_reference(raw);
+  EXPECT_GT(got.size(), 0u);
+  EXPECT_TRUE(got.truth_class.empty());
+}
+
+TEST(PreprocessReference, ConfidenceFilterRemovesEveryPhoton) {
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  for (auto& c : raw.signal_conf) c = static_cast<std::int8_t>(SignalConf::Low);
+  const auto got = check_against_reference(raw);  // default keeps High only
+  EXPECT_EQ(got.size(), 0u);
+  EXPECT_TRUE(got.truth_class.empty());
+}
+
+TEST(PreprocessReference, SinglePhoton) {
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  std::size_t first_high = 0;
+  while (raw.signal_conf[first_high] < static_cast<std::int8_t>(SignalConf::High)) ++first_high;
+  const auto one = select_photons(raw, [&](std::size_t i) { return i == first_high; });
+  const auto got = check_against_reference(one);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.s[0], raw.along_track[first_high]);
+}
+
+TEST(PreprocessReference, DuplicateAlongTrackKeepRawOrder) {
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  // Snap distances to a 2 m grid so most photons share theirs with others,
+  // and make delta_time increase with the raw index so the output reveals
+  // the order equal distances came out in.
+  const double t0 = raw.delta_time.front();
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    raw.along_track[i] = 2.0 * std::floor(raw.along_track[i] / 2.0);
+    raw.delta_time[i] = t0 + 1e-5 * static_cast<double>(i);
+  }
+  const auto got = check_against_reference(raw);
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    ASSERT_GE(got.s[i], got.s[i - 1]);
+    if (got.s[i] == got.s[i - 1]) {
+      ++ties;
+      EXPECT_LT(got.t[i - 1], got.t[i]) << "equal along-track distances out of raw order at " << i;
+    }
+  }
+  EXPECT_GT(ties, got.size() / 2);
 }
 
 }  // namespace

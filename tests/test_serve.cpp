@@ -286,6 +286,37 @@ TEST_F(DiskCacheTest, SerializeRoundTripIsBitIdentical) {
   EXPECT_THROW(DiskCache::deserialize(bytes, other), h5::H5Error);
 }
 
+TEST_F(DiskCacheTest, FixedBlobFromCurrentFormatStillLoads) {
+  // DiskCache::serialize() output (IS2P format version 2) captured as bytes:
+  // one freeboard point, CRC written by the bytewise crc32. Product files
+  // already on disk must keep loading.
+  const std::vector<std::uint8_t> blob = {
+      0x49, 0x53, 0x32, 0x50, 0x02, 0x00, 0x00, 0x00, 0xef, 0xcd, 0xab, 0x89,
+      0x67, 0x45, 0x23, 0x01, 0x03, 0x02, 0x00, 0x02, 0x00, 0x00, 0x00, 0x47,
+      0x31, 0x42, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28,
+      0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xbf, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd8,
+      0x3f, 0x00, 0x01, 0xad, 0x4d, 0xca, 0x9f};
+  ProductKey key;
+  key.granule_id = "G1";
+  key.beam = BeamId::Gt2r;
+  key.config_hash = 0x0123456789abcdefull;
+  const GranuleProduct back = DiskCache::deserialize(blob, key);
+  ASSERT_EQ(back.freeboard.points.size(), 1u);
+  const auto& fp = back.freeboard.points[0];
+  EXPECT_EQ(fp.s, 12.0);
+  EXPECT_EQ(fp.x, -1.5);
+  EXPECT_EQ(fp.y, 2.5);
+  EXPECT_EQ(fp.freeboard, 0.375);
+  EXPECT_EQ(fp.cls, SurfaceClass::ThickIce);
+  EXPECT_EQ(fp.truth, SurfaceClass::ThinIce);
+  EXPECT_TRUE(back.segments.empty());
+  EXPECT_EQ(DiskCache::serialize(key, back), blob);
+}
+
 TEST_F(DiskCacheTest, PutGetAcrossRestartAndLruEviction) {
   const GranuleProduct p0 = rich_product(0), p1 = rich_product(1), p2 = rich_product(2);
   const std::size_t file_bytes = DiskCache::serialize(rich_key(0), p0).size();
