@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
   const double aggregate = ref_total / fast_total;
   std::printf("aggregate (total ref / total fast): %.2fx\n\n", aggregate);
 
-  // Raw gemm_nt at a bigger square-ish shape (the threshold-parallel path's
-  // home turf) for the trend line.
+  // Raw gemm_nt at a bigger square-ish shape (many A rows stream against
+  // each L1-resident B panel) for the trend line.
   double gemm_nt_big_ms = 0, gemm_nt_big_ref_ms = 0;
   {
     const Mat a = random_mat(512, 256, rng);

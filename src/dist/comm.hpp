@@ -12,9 +12,9 @@
 // contributions accumulate in ring order starting from a chunk-determined
 // rank, and every reduction step consumes one specific tagged message — so
 // the result is bit-identical run-to-run and independent of rank arrival
-// order or thread scheduling (the same fixed-order-reduction policy
-// docs/performance.md sets for OpenMP; stressed in
-// test_parallel_determinism). All ranks finish with byte-identical buffers.
+// order or thread scheduling (the fixed-order-reduction policy of
+// docs/performance.md; stressed in test_parallel_determinism). All ranks
+// finish with byte-identical buffers.
 //
 // Reuse: collectives are sequenced per rank by an op counter baked into the
 // message tags, so one Communicator serves an arbitrary collective sequence

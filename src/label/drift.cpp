@@ -64,9 +64,8 @@ DriftEstimate estimate_drift(const s2::ClassRaster& raster,
   best.shift = {0.0, 0.0};
 
   const int n_radii = static_cast<int>(cfg.max_shift_m / cfg.step_m);
-  // Polar grid search, parallel over directions.
-  std::vector<DriftEstimate> per_dir(static_cast<std::size_t>(cfg.directions));
-#pragma omp parallel for schedule(dynamic)
+  // Polar grid search. Each direction keeps its own best radius, and the
+  // directions then compete in index order.
   for (int d = 0; d < cfg.directions; ++d) {
     const double theta = 2.0 * geo::pi * static_cast<double>(d) / cfg.directions;
     DriftEstimate local;
@@ -80,15 +79,11 @@ DriftEstimate estimate_drift(const s2::ClassRaster& raster,
         local.shift = shift;
       }
     }
-    per_dir[static_cast<std::size_t>(d)] = local;
-  }
-  for (const auto& cand : per_dir) {
-    if (cand.score > best.score) {
-      best.score = cand.score;
-      best.shift = cand.shift;
+    if (local.score > best.score) {
+      best.score = local.score;
+      best.shift = local.shift;
     }
   }
-  best.score_unshifted = score_shift(raster, segments, baseline, stride, {0.0, 0.0}, cfg);
   return best;
 }
 

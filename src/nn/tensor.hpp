@@ -11,11 +11,13 @@
 //    the reference per-element summation order (they vectorize across the
 //    contiguous j dimension) and register-tile 4 rows to reuse B-row loads.
 //  * Floating-point summation order is fully determined by the code (lane
-//    structure + blocking), never by the compiler, SIMD width, OpenMP
-//    on/off, or thread count: OpenMP parallelism is over output rows only,
-//    so every output element is produced by exactly one thread in a fixed
-//    order. Results are bit-identical across IS2_ENABLE_OPENMP=ON/OFF and
-//    any OMP_NUM_THREADS.
+//    structure + blocking), never by the compiler or SIMD width: the
+//    `#pragma omp simd` hints (compiled with -fopenmp-simd, no runtime)
+//    only vectorize loops whose lanes are independent or fixed in code.
+//  * Every kernel is single-threaded and reentrant (its only scratch is
+//    thread_local), so concurrent callers — scheduler workers, mapred
+//    executors, training ranks — each get the bits a lone call produces.
+//    Parallelism belongs to those task-level callers, never to a kernel.
 //  * The pre-tiling scalar kernels are retained as gemm_*_reference: they
 //    are the test oracles (property tests in test_nn_kernels) and the
 //    baseline bench_nn_kernels measures speedup against. gemm_nn/gemm_tn

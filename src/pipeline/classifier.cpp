@@ -42,7 +42,7 @@ std::vector<SurfaceClass> centers_with_edge_fill(const std::uint8_t* pred, std::
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// classify_windows (the former core::classify_segments body)
+// classify_windows
 // ---------------------------------------------------------------------------
 
 std::vector<SurfaceClass> classify_windows(nn::Sequential& model,
@@ -72,22 +72,19 @@ std::vector<SurfaceClass> classify_windows(nn::Sequential& model,
 
 NnBackend::NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
                      std::size_t replicas, std::size_t batch_windows,
-                     std::size_t inference_threads, std::uint64_t weights_version)
+                     std::uint64_t weights_version)
     : scaler_(scaler),
       window_(window),
       batch_windows_(batch_windows ? batch_windows : 256),
       weights_version_(weights_version) {
   if (!factory) throw std::invalid_argument("NnBackend: null model factory");
   if (window_ == 0) throw std::invalid_argument("NnBackend: zero window");
-  // Sized callers + inference_threads so every concurrent classify() and
-  // every inference-pool span can hold one replica without deadlock
-  // (holders always return their replica).
-  const std::size_t n = (replicas ? replicas : 1) + inference_threads;
+  // One replica per concurrent caller: a checkout waits only when more
+  // callers than `replicas` classify at once.
+  const std::size_t n = replicas ? replicas : 1;
   replicas_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     replicas_.push_back(std::make_unique<nn::Sequential>(factory()));
-  if (inference_threads > 0)
-    inference_pool_ = std::make_unique<util::ThreadPool>(inference_threads);
 }
 
 std::uint64_t NnBackend::fingerprint() const {
@@ -122,35 +119,6 @@ void NnBackend::return_replica(std::unique_ptr<nn::Sequential> model) {
   replica_cv_.notify_one();
 }
 
-std::uint64_t NnBackend::classify_span(const float* scaled, std::size_t w_begin,
-                                       std::size_t w_end, std::uint8_t* pred) {
-  const std::size_t window = window_;
-  constexpr int kDim = resample::FeatureRow::kDim;
-  const std::size_t batch = batch_windows_;
-
-  // Check a model replica out of the pool (inference mutates Sequential state).
-  std::unique_ptr<nn::Sequential> model = checkout_replica();
-  std::uint64_t batches = 0;
-  try {
-    nn::Tensor3 x;  // staging buffer, reused across this span's batches
-    for (std::size_t w0 = w_begin; w0 < w_end; w0 += batch) {
-      const std::size_t rows = std::min(batch, w_end - w0);
-      x.resize(rows, window, kDim);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t w = w0 + r;
-        std::copy(scaled + w * kDim, scaled + (w + window) * kDim, x.at(r, 0));
-      }
-      model->predict_into(x, pred + w0, rows);  // one forward pass
-      ++batches;
-    }
-  } catch (...) {
-    return_replica(std::move(model));
-    throw;
-  }
-  return_replica(std::move(model));
-  return batches;
-}
-
 std::vector<SurfaceClass> NnBackend::classify(
     const std::vector<resample::FeatureRow>& features) {
   const std::size_t window = window_;
@@ -159,38 +127,31 @@ std::vector<SurfaceClass> NnBackend::classify(
 
   // Standardize once (same helper as classify_windows: bit-identical).
   const std::vector<float> scaled = standardize_rows(features, scaler_);
+  constexpr int kDim = resample::FeatureRow::kDim;
   const std::size_t n_windows = n - window + 1;
   const std::size_t batch = batch_windows_;
-
   std::vector<std::uint8_t> pred(n_windows);
   std::uint64_t batches = 0;
 
-  // Batch-level parallelism: one call's windows fan out over the internal
-  // inference pool in contiguous spans, each on its own model replica.
-  // Every window's logits depend only on its own row, so the partition
-  // never changes the predictions — span results are bit-identical to the
-  // serial path for any span count. Spans are batch-aligned so parallelism
-  // doesn't change batch shapes (and therefore per-batch scratch reuse).
-  std::size_t spans = 1;
-  if (inference_pool_) {
-    const std::size_t full_batches = (n_windows + batch - 1) / batch;
-    spans = std::min(inference_pool_->size(), full_batches);
+  // Check a model replica out of the pool (inference mutates Sequential state).
+  std::unique_ptr<nn::Sequential> model = checkout_replica();
+  try {
+    nn::Tensor3 x;  // staging buffer, reused across this call's batches
+    for (std::size_t w0 = 0; w0 < n_windows; w0 += batch) {
+      const std::size_t rows = std::min(batch, n_windows - w0);
+      x.resize(rows, window, kDim);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t w = w0 + r;
+        std::copy(scaled.data() + w * kDim, scaled.data() + (w + window) * kDim, x.at(r, 0));
+      }
+      model->predict_into(x, pred.data() + w0, rows);  // one forward pass
+      ++batches;
+    }
+  } catch (...) {
+    return_replica(std::move(model));
+    throw;
   }
-  if (spans <= 1) {
-    batches = classify_span(scaled.data(), 0, n_windows, pred.data());
-  } else {
-    const std::size_t batches_per_span = (n_windows + batch * spans - 1) / (batch * spans);
-    const std::size_t span_stride = batches_per_span * batch;
-    std::atomic<std::uint64_t> batch_count{0};
-    inference_pool_->parallel_for(spans, [&](std::size_t s) {
-      const std::size_t w_begin = s * span_stride;
-      if (w_begin >= n_windows) return;
-      const std::size_t w_end = std::min(w_begin + span_stride, n_windows);
-      batch_count.fetch_add(classify_span(scaled.data(), w_begin, w_end, pred.data()),
-                            std::memory_order_relaxed);
-    });
-    batches = batch_count.load();
-  }
+  return_replica(std::move(model));
 
   batches_.fetch_add(batches, std::memory_order_relaxed);
   windows_.fetch_add(n_windows, std::memory_order_relaxed);

@@ -7,11 +7,12 @@
 //
 // Ownership / threading contract: `classify()` must be safe to call from
 // concurrent builds. `NnBackend` owns a checkout pool of model replicas
-// (inference mutates Sequential scratch state) plus an optional batch-level
-// inference ThreadPool; `DecisionTreeBackend` wraps an immutable fitted tree
-// and is trivially concurrent. A backend's `fingerprint()` is part of cache
-// identity: it must change whenever the backend would produce different
-// classes (weights version, tree structure).
+// (inference mutates Sequential scratch state), one per concurrent caller;
+// each call runs on its caller's thread. `DecisionTreeBackend` wraps an
+// immutable fitted tree and is trivially concurrent. A backend's
+// `fingerprint()` is part of cache identity: it must change whenever the
+// backend would produce different classes (weights version, tree
+// structure).
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,6 @@
 #include "resample/segmenter.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace is2::pipeline {
 
@@ -49,9 +49,8 @@ class ClassifierBackend {
 };
 
 /// Sliding-window classification of a feature sequence with one model:
-/// standardize, window, batch-predict, center-assign, edge-fill. The exact
-/// algorithm `core::classify_segments` has always run (that free function is
-/// now a thin wrapper over this).
+/// standardize, window, batch-predict, center-assign, edge-fill. Edge
+/// segments inherit the nearest interior prediction.
 std::vector<atl03::SurfaceClass> classify_windows(nn::Sequential& model,
                                                   const resample::FeatureScaler& scaler,
                                                   const std::vector<resample::FeatureRow>& features,
@@ -59,21 +58,20 @@ std::vector<atl03::SurfaceClass> classify_windows(nn::Sequential& model,
                                                   std::size_t batch_windows = 256);
 
 /// The paper's deep-model path: a checkout pool of `nn::Sequential` replicas
-/// (every call of the factory must produce numerically identical models) fed
-/// batch-aligned window spans, optionally fanned out over an internal
-/// inference ThreadPool. Predictions are bit-identical for any replica
-/// count, span partition or thread count — windows are row-independent — so
-/// concurrency here is purely a latency knob.
+/// (every call of the factory must produce numerically identical models).
+/// Each classify() runs all of its windows, batch by batch, on one
+/// checked-out replica in the calling thread; concurrency comes from the
+/// callers (scheduler workers), never from inside a call. Predictions are
+/// bit-identical for any replica count.
 class NnBackend : public ClassifierBackend {
  public:
   using ModelFactory = std::function<nn::Sequential()>;
 
-  /// `replicas` bounds concurrent classify() *spans* (callers + inference
-  /// threads); `inference_threads` > 0 adds an internal pool that splits one
-  /// call's windows across that many extra replicas.
+  /// `replicas` bounds concurrent classify() calls; a caller beyond that
+  /// waits for a replica to be returned.
   NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
             std::size_t replicas = 1, std::size_t batch_windows = 256,
-            std::size_t inference_threads = 0, std::uint64_t weights_version = 0);
+            std::uint64_t weights_version = 0);
 
   std::vector<atl03::SurfaceClass> classify(
       const std::vector<resample::FeatureRow>& features) override;
@@ -89,10 +87,6 @@ class NnBackend : public ClassifierBackend {
   const resample::FeatureScaler& scaler() const { return scaler_; }
 
  private:
-  /// Classify windows [w_begin, w_end) into pred (absolute indices) on one
-  /// checked-out replica; returns the number of forward-pass batches.
-  std::uint64_t classify_span(const float* scaled, std::size_t w_begin, std::size_t w_end,
-                              std::uint8_t* pred);
   std::unique_ptr<nn::Sequential> checkout_replica();
   void return_replica(std::unique_ptr<nn::Sequential> model);
 
@@ -104,7 +98,6 @@ class NnBackend : public ClassifierBackend {
   util::Mutex replica_mutex_;
   util::CondVar replica_cv_;
   std::vector<std::unique_ptr<nn::Sequential>> replicas_ GUARDED_BY(replica_mutex_);
-  std::unique_ptr<util::ThreadPool> inference_pool_;  ///< null when threads == 0
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> windows_{0};

@@ -105,9 +105,7 @@ struct Artifacts {
 StageId final_stage(ProductKind kind);
 
 /// Fingerprint of every PipelineConfig input that changes built bytes, plus
-/// the sea-surface method — i.e. the full-depth (freeboard) prefix. This is
-/// the hash that used to live in `serve::config_fingerprint`; serve now
-/// delegates here.
+/// the sea-surface method — i.e. the full-depth (freeboard) prefix.
 std::uint64_t config_fingerprint(const core::PipelineConfig& config, seasurface::Method method);
 
 /// Stage-prefix-scoped fingerprint: hashes only the config inputs the

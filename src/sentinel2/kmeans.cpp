@@ -17,6 +17,22 @@ double sq_dist(const float* a, const float* b, std::size_t dim) {
   return d;
 }
 
+/// Index of the centroid nearest to `p` (first wins ties); its squared
+/// distance goes to `dist`.
+std::uint32_t nearest(const float* p, const float* centroids, std::size_t k, std::size_t dim,
+                      double& dist) {
+  dist = std::numeric_limits<double>::infinity();
+  std::uint32_t best = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const double d = sq_dist(p, centroids + c * dim, dim);
+    if (d < dist) {
+      dist = d;
+      best = static_cast<std::uint32_t>(c);
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 KMeansResult kmeans(const std::vector<float>& points, std::size_t dim, std::size_t k,
@@ -58,32 +74,15 @@ KMeansResult kmeans(const std::vector<float>& points, std::size_t dim, std::size
 
   std::vector<double> sums(k * dim);
   std::vector<std::size_t> counts(k);
-  std::vector<double> best_dist(n);
   for (int iter = 0; iter < max_iters; ++iter) {
     res.iterations = iter + 1;
-    // Assignment (parallel). Per-point best distances land in a scratch
-    // array and are summed serially in index order below: a
-    // `reduction(+:inertia)` would combine partial sums in a
-    // thread-count-dependent order and perturb the float result, so the
-    // inertia would differ between OpenMP on/off runs. This way it is
-    // bit-identical to the serial loop for any thread count.
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-      const auto i = static_cast<std::size_t>(ii);
-      double best = std::numeric_limits<double>::infinity();
-      std::uint32_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double d = sq_dist(&points[i * dim], &res.centroids[c * dim], dim);
-        if (d < best) {
-          best = d;
-          best_c = static_cast<std::uint32_t>(c);
-        }
-      }
-      res.labels[i] = best_c;
-      best_dist[i] = best;
-    }
+    // Assignment; the inertia sums in point-index order.
     double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) inertia += best_dist[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      double d = 0.0;
+      res.labels[i] = nearest(&points[i * dim], res.centroids.data(), k, dim, d);
+      inertia += d;
+    }
 
     // Update.
     std::fill(sums.begin(), sums.end(), 0.0);
@@ -114,19 +113,10 @@ std::vector<std::uint32_t> kmeans_assign(const std::vector<float>& points, std::
     throw std::invalid_argument("kmeans_assign: bad dimensions");
   const std::size_t n = points.size() / dim;
   const std::size_t k = centroids.size() / dim;
-  std::vector<std::uint32_t> labels(n, 0);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < k; ++c) {
-      const double d = sq_dist(&points[i * dim], &centroids[c * dim], dim);
-      if (d < best) {
-        best = d;
-        labels[i] = static_cast<std::uint32_t>(c);
-      }
-    }
-  }
+  std::vector<std::uint32_t> labels(n);
+  double d = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    labels[i] = nearest(&points[i * dim], centroids.data(), k, dim, d);
   return labels;
 }
 

@@ -35,10 +35,7 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
 
   // Pass 1: brightness map + cloud handling.
   std::vector<float> brightness(n);
-  std::size_t thin_count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : thin_count)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = i / cols, c = i % cols;
     float b02 = img.at(Band::B02, r, c);
     const float b03 = img.at(Band::B03, r, c);
@@ -65,7 +62,7 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
         b02 = unmix(b02);
         b04 = unmix(b04);
         b08 = unmix(b08);
-        ++thin_count;
+        ++out.thin_corrected;
       }
     }
     out.b02[i] = b02;
@@ -73,15 +70,12 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
     out.b08[i] = b08;
     brightness[i] = static_cast<float>((b02 + b04) / 2.0);
   }
-  out.thin_corrected = thin_count;
 
   // Pass 2: tile median brightness for shadow detection.
   const std::size_t t = cfg.tile_px;
   const std::size_t trows = (rows + t - 1) / t, tcols = (cols + t - 1) / t;
   std::vector<float> tile_median(trows * tcols, 0.0f);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t tii = 0; tii < static_cast<std::ptrdiff_t>(trows * tcols); ++tii) {
-    const auto ti = static_cast<std::size_t>(tii);
+  for (std::size_t ti = 0; ti < trows * tcols; ++ti) {
     const std::size_t tr = ti / tcols, tc = ti % tcols;
     std::vector<double> vals;
     vals.reserve(t * t);
@@ -92,10 +86,7 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
   }
 
   // Pass 3: shadow re-gaining.
-  std::size_t shadow_count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : shadow_count)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     if (out.thick_cloud[i]) continue;
     const std::size_t r = i / cols, c = i % cols;
     const float med = tile_median[(r / t) * tcols + (c / t)];
@@ -109,9 +100,8 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
     out.b02[i] = regain(out.b02[i]);
     out.b04[i] = regain(out.b04[i]);
     out.b08[i] = regain(out.b08[i]);
-    ++shadow_count;
+    ++out.shadow_corrected;
   }
-  out.shadow_corrected = shadow_count;
   return out;
 }
 
@@ -166,14 +156,11 @@ SegmentationResult segment(const MultispectralImage& image, const SegmentationCo
   }
 
   // Assign every pixel.
-  std::size_t cloud_pixels = 0;
-#pragma omp parallel for schedule(static) reduction(+ : cloud_pixels)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = i / cols, c = i % cols;
     if (corr.thick_cloud[i]) {
       result.labels.set(r, c, SurfaceClass::Unknown);
-      ++cloud_pixels;
+      ++result.thick_cloud_pixels;
       continue;
     }
     const float p[3] = {corr.b02[i], corr.b04[i], corr.b08[i]};
@@ -192,7 +179,6 @@ SegmentationResult segment(const MultispectralImage& image, const SegmentationCo
     }
     result.labels.set(r, c, cluster_class[best_c]);
   }
-  result.thick_cloud_pixels = cloud_pixels;
   return result;
 }
 

@@ -125,15 +125,6 @@ atl03::Granule ShardIndex::load_merged(const std::vector<std::string>& files) {
 }
 
 // ---------------------------------------------------------------------------
-// Config fingerprint (deprecated wrapper; canonical impl: pipeline/)
-// ---------------------------------------------------------------------------
-
-std::uint64_t config_fingerprint(const core::PipelineConfig& config,
-                                 seasurface::Method method) {
-  return pipeline::config_fingerprint(config, method);
-}
-
-// ---------------------------------------------------------------------------
 // GranuleService
 // ---------------------------------------------------------------------------
 
@@ -199,12 +190,10 @@ GranuleService::GranuleService(const ServiceConfig& config,
   }
   if (disk_) writeback_pool_ = std::make_unique<util::ThreadPool>(1, "writeback");
   const std::size_t workers = config_.workers ? config_.workers : 1;
-  // The nn backend owns the replica checkout pool (one per worker plus one
-  // per inference thread, so checkout never deadlocks) and the batch-level
-  // inference ThreadPool.
+  // The nn backend owns the replica checkout pool, one replica per worker.
   nn_backend_ = std::make_unique<pipeline::NnBackend>(
       std::move(model_factory), scaler, pipeline_.sequence_window, workers,
-      config_.inference_batch_windows, config_.inference_threads, config_.model_version);
+      config_.inference_batch_windows, config_.model_version);
   if (tree_factory)
     tree_backend_ = std::make_unique<pipeline::DecisionTreeBackend>(tree_factory());
   BatchScheduler::Config sched_cfg;

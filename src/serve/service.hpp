@@ -102,13 +102,6 @@ class ShardIndex {
   std::map<std::pair<std::string, int>, std::vector<std::string>> beams_;
 };
 
-/// DEPRECATED thin wrapper over `pipeline::config_fingerprint` — the
-/// canonical fingerprint moved into the pipeline layer with the builder
-/// (where `pipeline::product_fingerprint` also mixes in backend identity).
-/// Kept for one release; call the pipeline functions in new code.
-std::uint64_t config_fingerprint(const core::PipelineConfig& config,
-                                 seasurface::Method method);
-
 // `StageLatency`, `ClassMetrics` and `ServiceMetrics` moved to
 // serve/node.hpp with the NodeHandle extraction — they are part of the node
 // surface the cluster router aggregates, not service internals.
@@ -119,13 +112,6 @@ struct ServiceConfig {
   std::size_t cache_bytes = 256u << 20;
   std::size_t cache_shards = 8;
   std::size_t inference_batch_windows = 256;  ///< windows per forward pass
-  /// Batch-level inference parallelism: size of a shared ThreadPool that
-  /// fans one granule's windows out in contiguous batch-aligned spans, each
-  /// span on its own model replica. 0 = off (each build runs inference on
-  /// its scheduler worker alone, parallelism comes from replicas only).
-  /// Predictions are bit-identical for any value — windows are
-  /// row-independent — so this is purely a latency knob for wide granules.
-  std::size_t inference_threads = 0;
   std::uint64_t model_version = 0;    ///< bump when weights change
   /// Disk cache tier; empty = RAM tier only. Products persist here across
   /// service restarts (keyed by config/model hash, so stale entries are
@@ -281,8 +267,8 @@ class GranuleService : public NodeHandle {
 
   pipeline::ProductBuilder builder_;  ///< the one pipeline implementation
   /// Classifier backends, selected per request. The nn backend owns the
-  /// model replica checkout pool (sized workers + inference_threads) and the
-  /// batch-level inference ThreadPool; the tree backend is optional.
+  /// model replica checkout pool (one replica per worker); the tree backend
+  /// is optional.
   std::unique_ptr<pipeline::NnBackend> nn_backend_;
   std::unique_ptr<pipeline::DecisionTreeBackend> tree_backend_;
   ProductCache cache_;

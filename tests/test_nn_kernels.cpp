@@ -1,13 +1,8 @@
 // Property tests for the tiled/vectorized NN kernels against the retained
 // reference kernels: odd shapes, accumulate on/off, fused-epilogue
 // consistency, batch-partition invariance of predict, softmax bit-
-// stability, and threads-on vs threads-off determinism of the OpenMP
-// threshold path.
+// stability, and reentrancy of the GEMM kernels under concurrent callers.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <cmath>
 #include <vector>
@@ -16,6 +11,7 @@
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/tensor.hpp"
+#include "reentrancy.hpp"
 
 namespace {
 
@@ -211,41 +207,28 @@ TEST(Backward, ThrowsAfterInferenceForward) {
   EXPECT_THROW(model.backward(grad), std::logic_error);
 }
 
-TEST(Determinism, GemmThresholdPathThreadCountInvariant) {
-  // 160x160x160 > the OpenMP threshold: the parallel path must produce the
-  // same bits as the serial path for any thread count (row partitioning,
-  // fixed reduction schedule). Without OpenMP this still checks repeat
-  // determinism.
+TEST(Determinism, GemmReentrant) {
+  // 160x160x160 GEMMs from 4 concurrent tasks, as mapred executors or
+  // scheduler workers run them: each call must produce the bits of a lone
+  // call (single-threaded kernels, no shared scratch).
   Rng rng(12);
   const Mat a = random_mat(160, 160, rng);
   const Mat b = random_mat(160, 160, rng);
-  ASSERT_GT(a.rows() * a.cols() * b.rows(), std::size_t{1} << 20);
-
-  Mat c1(160, 160), c4(160, 160);
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  gemm_nt(a, b, c1);
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  gemm_nt(a, b, c4);
-  expect_bitwise_equal(c1, c4);
-
-  Mat n1(160, 160), n4(160, 160);
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
-  gemm_nn(a, b, n1);
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  gemm_nn(a, b, n4);
-  expect_bitwise_equal(n1, n4);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  const auto same = [](const Mat& x, const Mat& y) { expect_bitwise_equal(x, y); };
+  is2::test::expect_reentrant(
+      [&] {
+        Mat c(160, 160);
+        gemm_nt(a, b, c);
+        return c;
+      },
+      same);
+  is2::test::expect_reentrant(
+      [&] {
+        Mat c(160, 160);
+        gemm_nn(a, b, c);
+        return c;
+      },
+      same);
 }
 
 TEST(Determinism, ActivationRowsMatchScalarActivate) {

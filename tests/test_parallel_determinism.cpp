@@ -1,19 +1,16 @@
-// Threads-on vs threads-off determinism for every pipeline stage that runs
-// under an OpenMP pragma (activated by IS2_ENABLE_OPENMP): label overlay,
-// drift estimation, sentinel2 scene render, k-means and segmentation. Each
-// test runs the same computation at 1 and 4 OpenMP threads and requires
-// bit-identical results — the policy docs/performance.md documents (row-
-// partitioned work, fixed-order reductions, no `reduction(+:float)`).
-// Without OpenMP the pairs still guard run-to-run determinism.
+// Reentrancy for every kernel that task-level callers run side by side:
+// label overlay, drift estimation, sentinel2 scene render, k-means,
+// segmentation and Model::predict. Kernels are single-threaded; parallelism
+// lives in scheduler workers, mapred executors and dist ranks, which call
+// these kernels concurrently. Each test runs the kernel from 4 concurrent
+// util::ThreadPool tasks and requires the bits of a lone call — the policy
+// docs/performance.md documents. The TSan CI job runs this suite, so the
+// same tests are the kernels' race coverage.
 //
-// The dist tests extend the same policy to the rank-threaded training
+// The dist tests extend the policy to the rank-threaded training
 // substrate: ring all-reduce results must not depend on rank arrival order,
 // and a full 4-rank training run must be bit-reproducible.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <chrono>
 #include <cstring>
@@ -27,6 +24,7 @@
 #include "label/drift.hpp"
 #include "label/overlay.hpp"
 #include "nn/model.hpp"
+#include "reentrancy.hpp"
 #include "sentinel2/kmeans.hpp"
 #include "sentinel2/scene_sim.hpp"
 #include "sentinel2/segmentation.hpp"
@@ -36,21 +34,13 @@ namespace {
 
 using namespace is2;
 using atl03::SurfaceClass;
+using test::expect_reentrant;
 
-void set_threads(int n) {
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#else
-  (void)n;
-#endif
-}
-
-int saved_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+void expect_same_classes(const s2::ClassRaster& a, const s2::ClassRaster& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c) ASSERT_EQ(a.at(r, c), b.at(r, c));
 }
 
 /// Striped raster + consistent segments (mirrors test_label's fixture).
@@ -104,95 +94,88 @@ s2::Scene render_scene(const SceneFixture& fx, double cloud_cover) {
   return sim.render(fx.surface, {120.0, -60.0}, 500.0);
 }
 
-TEST(ParallelDeterminism, OverlayLabels) {
+TEST(ParallelDeterminism, OverlayLabelsReentrant) {
   const auto raster = striped_raster();
   const auto segs = striped_segments();
   label::OverlayConfig cfg;
   cfg.vote_radius_px = 1;
-  const int saved = saved_threads();
-  set_threads(1);
-  const auto a = label::overlay_labels(raster, segs, cfg);
-  set_threads(4);
-  const auto b = label::overlay_labels(raster, segs, cfg);
-  set_threads(saved);
-  EXPECT_EQ(a, b);
+  expect_reentrant([&] { return label::overlay_labels(raster, segs, cfg); },
+                   [](const auto& a, const auto& b) { EXPECT_EQ(a, b); });
 }
 
-TEST(ParallelDeterminism, DriftEstimate) {
+TEST(ParallelDeterminism, DriftEstimateReentrant) {
   const auto raster = striped_raster();
   const auto segs = striped_segments(400.0, -150.0);
   std::vector<double> baseline(segs.size(), 0.0);
   label::DriftConfig cfg;
-  const int saved = saved_threads();
-  set_threads(1);
-  const auto a = label::estimate_drift(raster, segs, baseline, cfg);
-  set_threads(4);
-  const auto b = label::estimate_drift(raster, segs, baseline, cfg);
-  set_threads(saved);
-  EXPECT_EQ(a.shift.x, b.shift.x);
-  EXPECT_EQ(a.shift.y, b.shift.y);
-  EXPECT_EQ(a.score, b.score);
-  EXPECT_EQ(a.score_unshifted, b.score_unshifted);
+  expect_reentrant([&] { return label::estimate_drift(raster, segs, baseline, cfg); },
+                   [](const label::DriftEstimate& a, const label::DriftEstimate& b) {
+                     EXPECT_EQ(a.shift.x, b.shift.x);
+                     EXPECT_EQ(a.shift.y, b.shift.y);
+                     EXPECT_EQ(a.score, b.score);
+                     EXPECT_EQ(a.score_unshifted, b.score_unshifted);
+                   });
 }
 
-TEST(ParallelDeterminism, SceneRender) {
+TEST(ParallelDeterminism, SceneRenderReentrant) {
   SceneFixture fx;
-  const int saved = saved_threads();
-  set_threads(1);
-  const auto a = render_scene(fx, 0.25);
-  set_threads(4);
-  const auto b = render_scene(fx, 0.25);
-  set_threads(saved);
-  ASSERT_EQ(a.image.rows(), b.image.rows());
-  ASSERT_EQ(a.image.cols(), b.image.cols());
-  for (int band = 0; band < s2::kNumBands; ++band) {
-    const float* ab = a.image.band_data(static_cast<s2::Band>(band));
-    const float* bb = b.image.band_data(static_cast<s2::Band>(band));
-    for (std::size_t i = 0; i < a.image.pixel_count(); ++i)
-      ASSERT_EQ(ab[i], bb[i]) << "band " << band << " px " << i;
-  }
-  EXPECT_EQ(a.cloud_tau, b.cloud_tau);
-  for (std::size_t r = 0; r < a.truth_class.rows(); ++r)
-    for (std::size_t c = 0; c < a.truth_class.cols(); ++c)
-      ASSERT_EQ(a.truth_class.at(r, c), b.truth_class.at(r, c));
+  expect_reentrant([&] { return render_scene(fx, 0.25); },
+                   [](const s2::Scene& a, const s2::Scene& b) {
+                     ASSERT_EQ(a.image.rows(), b.image.rows());
+                     ASSERT_EQ(a.image.cols(), b.image.cols());
+                     for (int band = 0; band < s2::kNumBands; ++band) {
+                       const float* ab = a.image.band_data(static_cast<s2::Band>(band));
+                       const float* bb = b.image.band_data(static_cast<s2::Band>(band));
+                       for (std::size_t i = 0; i < a.image.pixel_count(); ++i)
+                         ASSERT_EQ(ab[i], bb[i]) << "band " << band << " px " << i;
+                     }
+                     EXPECT_EQ(a.cloud_tau, b.cloud_tau);
+                     EXPECT_EQ(a.shadow_mask, b.shadow_mask);
+                     expect_same_classes(a.truth_class, b.truth_class);
+                   });
 }
 
-TEST(ParallelDeterminism, KMeansInertiaAndLabels) {
-  // The inertia reduction is the one float reduction among the parallel
-  // sites; it must be bit-identical across thread counts (fixed-order sum).
+TEST(ParallelDeterminism, KMeansReentrant) {
+  // The inertia is a float reduction; it sums in point-index order, so it
+  // is bit-stable however many callers run at once.
   util::Rng rng(5);
   std::vector<float> points(3 * 4000);
   for (auto& v : points) v = static_cast<float>(rng.uniform(0.0, 1.0));
-  const int saved = saved_threads();
-  set_threads(1);
-  const auto a = s2::kmeans(points, 3, 5, util::Rng(11), 25);
-  set_threads(4);
-  const auto b = s2::kmeans(points, 3, 5, util::Rng(11), 25);
-  set_threads(saved);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.centroids, b.centroids);
-  EXPECT_EQ(a.inertia, b.inertia);
-  EXPECT_EQ(a.iterations, b.iterations);
+  expect_reentrant([&] { return s2::kmeans(points, 3, 5, util::Rng(11), 25); },
+                   [](const s2::KMeansResult& a, const s2::KMeansResult& b) {
+                     EXPECT_EQ(a.labels, b.labels);
+                     EXPECT_EQ(a.centroids, b.centroids);
+                     EXPECT_EQ(a.inertia, b.inertia);
+                     EXPECT_EQ(a.iterations, b.iterations);
+                   });
 }
 
-TEST(ParallelDeterminism, Segmentation) {
+TEST(ParallelDeterminism, SegmentationReentrant) {
   SceneFixture fx;
   const auto scene = render_scene(fx, 0.3);
   s2::SegmentationConfig cfg;
-  const int saved = saved_threads();
-  set_threads(1);
-  const auto a = s2::segment(scene.image, cfg);
-  set_threads(4);
-  const auto b = s2::segment(scene.image, cfg);
-  set_threads(saved);
-  EXPECT_EQ(a.thick_cloud_pixels, b.thick_cloud_pixels);
-  EXPECT_EQ(a.thin_cloud_corrected, b.thin_cloud_corrected);
-  EXPECT_EQ(a.shadow_corrected, b.shadow_corrected);
-  ASSERT_EQ(a.labels.rows(), b.labels.rows());
-  ASSERT_EQ(a.labels.cols(), b.labels.cols());
-  for (std::size_t r = 0; r < a.labels.rows(); ++r)
-    for (std::size_t c = 0; c < a.labels.cols(); ++c)
-      ASSERT_EQ(a.labels.at(r, c), b.labels.at(r, c));
+  expect_reentrant([&] { return s2::segment(scene.image, cfg); },
+                   [](const s2::SegmentationResult& a, const s2::SegmentationResult& b) {
+                     EXPECT_EQ(a.thick_cloud_pixels, b.thick_cloud_pixels);
+                     EXPECT_EQ(a.thin_cloud_corrected, b.thin_cloud_corrected);
+                     EXPECT_EQ(a.shadow_corrected, b.shadow_corrected);
+                     expect_same_classes(a.labels, b.labels);
+                   });
+}
+
+TEST(ParallelDeterminism, ModelPredictReentrant) {
+  // Serve's scheduler workers each run predict on their own replica at
+  // batch 256; the replicas share only the (thread_local) kernel scratch.
+  nn::Tensor3 x(600, 9, 6);
+  util::Rng xr(8);
+  for (auto& v : x.v) v = static_cast<float>(xr.normal(0.0, 1.0));
+  expect_reentrant(
+      [&] {
+        util::Rng rng(7);
+        nn::Sequential model = nn::make_lstm_model(9, 6, rng);
+        return model.predict(x, 256);
+      },
+      [](const auto& a, const auto& b) { EXPECT_EQ(a, b); });
 }
 
 TEST(ParallelDeterminism, AllreduceArrivalOrderIndependent) {

@@ -292,9 +292,9 @@ TEST_F(BuilderCampaign, ClassifyWithoutBackendOnFreshArtifactsThrows) {
                std::logic_error);
 }
 
-TEST_F(BuilderCampaign, NnBackendMatchesDeprecatedClassifySegments) {
-  // The replica-pool backend and the deprecated free function are the same
-  // algorithm; predictions must agree exactly.
+TEST_F(BuilderCampaign, NnBackendMatchesClassifyWindows) {
+  // The replica-pool backend and the free function are the same algorithm;
+  // predictions must agree exactly.
   pipeline::NnBackend backend = make_nn_backend();
   Artifacts art = gt1r_artifacts();
   builder_->run_until(art, StageId::features);
@@ -302,8 +302,8 @@ TEST_F(BuilderCampaign, NnBackendMatchesDeprecatedClassifySegments) {
   util::Rng rng(99);
   nn::Sequential model =
       nn::make_lstm_model(config_->sequence_window, resample::FeatureRow::kDim, rng);
-  const auto reference = core::classify_segments(model, *scaler_, art.features_out(),
-                                                 config_->sequence_window);
+  const auto reference = pipeline::classify_windows(model, *scaler_, art.features_out(),
+                                                    config_->sequence_window);
   EXPECT_EQ(backend.classify(art.features_out()), reference);
   EXPECT_GT(backend.windows(), 0u);
   EXPECT_GT(backend.batches(), 0u);
@@ -319,7 +319,7 @@ TEST_F(BuilderCampaign, BackendFingerprintsDistinguishIdentity) {
         util::Rng rng(99);
         return nn::make_lstm_model(config_->sequence_window, resample::FeatureRow::kDim, rng);
       },
-      *scaler_, config_->sequence_window, 1, 256, 0, /*weights_version=*/1);
+      *scaler_, config_->sequence_window, 1, 256, /*weights_version=*/1);
   EXPECT_NE(nn_a.fingerprint(), nn_v1.fingerprint());
 
   // A refit scaler changes predictions, so it must change identity too —

@@ -156,12 +156,12 @@ TEST(ConfigFingerprint, SensitiveToConfigAndMethod) {
   core::PipelineConfig changed = base;
   changed.sequence_window += 2;
   const auto nasa = seasurface::Method::NasaEquation;
-  EXPECT_NE(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(changed, nasa));
-  EXPECT_NE(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(base, seasurface::Method::MinElevation));
-  EXPECT_EQ(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(core::PipelineConfig::tiny(), nasa));
+  EXPECT_NE(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(changed, nasa));
+  EXPECT_NE(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(base, seasurface::Method::MinElevation));
+  EXPECT_EQ(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(core::PipelineConfig::tiny(), nasa));
 }
 
 // ---------------------------------------------------------------------------
@@ -937,7 +937,7 @@ class ServeCampaign : public ::testing::Test {
     out.granule_id = pair_->granule.id;
     out.beam = beam;
     out.classes =
-        core::classify_segments(model, *scaler_, features, config_->sequence_window);
+        pipeline::classify_windows(model, *scaler_, features, config_->sequence_window);
     out.sea_surface =
         seasurface::detect_sea_surface(segments, out.classes, method, config_->seasurface);
     out.freeboard =
@@ -1461,29 +1461,6 @@ TEST_F(ServeCampaign, UnknownGranuleYieldsBrokenFuture) {
   r.granule_id = "ATL03_does_not_exist";
   auto f = service->submit(r);
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST_F(ServeCampaign, ParallelInferenceIsBitIdenticalToSerial) {
-  // Batch-level inference parallelism (inference_threads > 0) fans one
-  // granule's windows over a ThreadPool in batch-aligned spans; windows are
-  // row-independent, so the partition must not change a single prediction.
-  serve::ServiceConfig serial_cfg;
-  serial_cfg.workers = 1;
-  serve::ServiceConfig par_cfg;
-  par_cfg.workers = 1;
-  par_cfg.inference_threads = 3;
-  par_cfg.inference_batch_windows = 64;  // several spans even on tiny beams
-  auto serial_svc = make_service(serial_cfg);
-  auto par_svc = make_service(par_cfg);
-  for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r}) {
-    const auto a = serial_svc->submit(request(beam)).get();
-    const auto b = par_svc->submit(request(beam)).get();
-    ASSERT_NE(a.product, nullptr);
-    ASSERT_NE(b.product, nullptr);
-    expect_bit_identical(*a.product, *b.product);
-  }
-  const auto m = par_svc->metrics();
-  EXPECT_GT(m.inference_batches, 2u);  // really did run multiple spans' batches
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Usage:
     lint_invariants.py [--root DIR]    # lint the tree (default: repo root)
     lint_invariants.py --self-test     # prove every rule actually fires
 
-Four rules, each a contract stated in the docs that previously lived only
+Five rules, each a contract stated in the docs that previously lived only
 in review discipline:
 
   R1  obs metric names at Registry call sites are Prometheus-valid
@@ -31,8 +31,15 @@ in review discipline:
       can see, so a naked primitive is an unanalyzed critical section
       (docs/static-analysis.md).
 
+  R5  the only OpenMP construct in src/ is the `omp simd` pragma (a
+      vectorization hint compiled with -fopenmp-simd: no runtime, no
+      threads). Any other OpenMP pragma, an include of the OpenMP runtime
+      header or a call into the runtime API fails — kernels are
+      single-threaded and parallelism lives in the task layer
+      (docs/performance.md, "Threading model").
+
 `--self-test` copies a minimal tree into a tempdir, seeds one violation per
-rule, and asserts the linter exits nonzero having caught all four — CI runs
+rule, and asserts the linter exits nonzero having caught all five — CI runs
 this before the real lint so a silently-broken rule cannot pass the tree.
 
 Exit status: 0 clean, 1 on any violation (all violations are printed),
@@ -56,6 +63,12 @@ NAKED_SYNC_RE = re.compile(
     r"condition_variable(?:_any)?)\b"
 )
 THREAD_RE = re.compile(r"thread", re.IGNORECASE)
+# R5's banned constructs are spelled from pieces (OMP) so that a repo-wide
+# grep for them finds none in this file either.
+OMP = "omp"
+OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+" + OMP + r"\b(?!\s+simd\b)")
+OMP_INCLUDE_RE = re.compile(r"#\s*include\s*[<\"]" + OMP + r"\.h[>\"]")
+OMP_CALL_RE = re.compile(r"\b" + OMP + r"_\w+\s*\(")
 
 CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
@@ -86,7 +99,9 @@ def strip_comments_and_strings(text: str) -> str:
             end = n if j == -1 else j + 2
             out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
             i = end
-        elif c in "\"'":
+        elif c == '"' or (c == "'" and not (i > 0 and text[i - 1].isalnum())):
+            # A ' after a digit or letter is a digit separator (5'000.0),
+            # not the start of a character literal.
             quote = c
             j = i + 1
             while j < n and text[j] != quote:
@@ -194,12 +209,34 @@ def check_r4_naked_primitives(root: str):
     return violations
 
 
+def check_r5_openmp(root: str):
+    """R5: the `omp simd` pragma is the only OpenMP construct allowed in src/."""
+    violations = []
+    for path in iter_files(root, ("src",)):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            raw = f.read()
+        code = strip_comments_and_strings(raw)
+        for lineno, (line, raw_line) in enumerate(
+                zip(code.splitlines(), raw.splitlines()), 1):
+            # An include's "quoted" path is blanked in `code`: match it on
+            # the raw line once the stripped line shows a real directive.
+            include = re.match(r"\s*#\s*include\b", line) and OMP_INCLUDE_RE.search(raw_line)
+            if OMP_PRAGMA_RE.search(line) or include or OMP_CALL_RE.search(line):
+                violations.append(
+                    f"R5 {rel(root, path)}:{lineno}: OpenMP construct other than "
+                    f"the `omp simd` pragma — kernels are single-threaded; parallelism "
+                    f"belongs to the task layer (docs/performance.md)"
+                )
+    return violations
+
+
 def run_lint(root: str) -> int:
     violations = []
     violations += check_r1_metric_names(root)
     violations += check_r2_fault_sites(root)
     violations += check_r3_threading_contracts(root)
     violations += check_r4_naked_primitives(root)
+    violations += check_r5_openmp(root)
     for v in violations:
         print(v)
     if violations:
@@ -210,7 +247,7 @@ def run_lint(root: str) -> int:
 
 
 def self_test() -> int:
-    """Seed one violation per rule in a scratch tree; all four must fire."""
+    """Seed one violation per rule in a scratch tree; all five must fire."""
     with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
         os.makedirs(os.path.join(tmp, "src", "serve"))
         os.makedirs(os.path.join(tmp, "src", "util"))
@@ -237,23 +274,42 @@ def self_test() -> int:
         # R4: a real naked primitive.
         with open(os.path.join(tmp, "src", "serve", "naked.cpp"), "w") as f:
             f.write("#include <mutex>\nstd::mutex g_lock;\n")
+        # R5: a threaded OpenMP loop. Controls: the simd hint and the
+        # commented-out pragma must NOT fire; the digit separators around the
+        # violation must not hide it as a character literal.
+        pragma = "#pragma " + OMP
+        with open(os.path.join(tmp, "src", "util", "kernel.cpp"), "w") as f:
+            f.write(
+                "void scale(float* v, int n) {\n"
+                f"{pragma} simd\n"
+                "  for (int i = 0; i < n; ++i) v[i] *= 2'000.0f;\n"
+                f"  // {pragma} parallel for is fine in a comment\n"
+                f"{pragma} parallel for\n"
+                "  for (int i = 0; i < n; ++i) v[i] += 1'000.0f;\n"
+                "}\n"
+            )
 
         found = []
         found += check_r1_metric_names(tmp)
         found += check_r2_fault_sites(tmp)
         found += check_r3_threading_contracts(tmp)
         found += check_r4_naked_primitives(tmp)
+        found += check_r5_openmp(tmp)
         for v in found:
             print(f"  seeded: {v}")
 
         fired = {v.split()[0] for v in found}
-        missing = {"R1", "R2", "R3", "R4"} - fired
+        missing = {"R1", "R2", "R3", "R4", "R5"} - fired
         if missing:
             print(f"self-test FAILED: rule(s) did not fire: {sorted(missing)}")
             return 1
         r4_hits = [v for v in found if v.startswith("R4")]
         if any("silent.hpp" in v for v in r4_hits):
             print("self-test FAILED: R4 fired on a comment/string occurrence")
+            return 1
+        r5_hits = [v for v in found if v.startswith("R5")]
+        if [v.split()[1] for v in r5_hits] != [os.path.join("src", "util", "kernel.cpp") + ":5:"]:
+            print(f"self-test FAILED: R5 must fire on the parallel pragma only, got {r5_hits}")
             return 1
         if run_lint_exit_nonzero(tmp) != 1:
             print("self-test FAILED: lint on a seeded tree must exit 1")
