@@ -45,6 +45,7 @@
 #include "core/config.hpp"
 #include "loadgen.hpp"
 #include "obs/export.hpp"
+#include "obs/instruments.hpp"
 #include "serve/cluster.hpp"
 #include "serve/service.hpp"
 #include "util/fault.hpp"
@@ -162,15 +163,15 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  auto stage = [&](const char* name, const serve::StageLatency& s, bool last = false) {
+  auto stage = [&](const char* name, const obs::Latency& s, bool last = false) {
     out << "      \"" << name << "\": {\"count\": " << s.stats.count()
         << ", \"mean_ms\": " << s.stats.mean() << ", \"max_ms\": " << s.stats.max() << "}"
         << (last ? "\n" : ",\n");
   };
   // The queue-wait vs service-time split of the highest worker-count run
   // (scheduled jobs only) — the two columns tools/bench_trend.py trends.
-  const serve::StageLatency& qw = rows.back().metrics.queue_wait;
-  const serve::StageLatency& st = rows.back().metrics.service_time;
+  const obs::Latency& qw = rows.back().metrics.queue_wait;
+  const obs::Latency& st = rows.back().metrics.service_time;
   out << "{\n  \"scenario\": \"tiny\",\n"
       << "  \"queue_wait_p99_ms\": " << qw.p99_ms()
       << ", \"queue_wait_mean_ms\": " << qw.stats.mean() << ",\n"

@@ -1,10 +1,10 @@
-#include "pipeline/stage.hpp"
+#include "obs/instruments.hpp"
 
 #include <cstdio>
 
-namespace is2::pipeline {
+namespace is2::obs {
 
-double StageLatency::percentile_ms(double p) const {
+double Latency::percentile_ms(double p) const {
   if (histogram.total() == 0) return 0.0;
   const double log_ms = util::histogram_quantile(histogram, p / 100.0);
   // The histogram saw log10 of clamped values, so invert both transforms;
@@ -12,7 +12,7 @@ double StageLatency::percentile_ms(double p) const {
   return std::clamp(std::pow(10.0, log_ms), stats.min(), stats.max());
 }
 
-std::string StageLatency::render(std::size_t max_width) const {
+std::string Latency::render(std::size_t max_width) const {
   const std::size_t n = histogram.bins();
   std::size_t first = n, last = 0;
   for (std::size_t b = 0; b < n; ++b) {
@@ -38,4 +38,4 @@ std::string StageLatency::render(std::size_t max_width) const {
   return out;
 }
 
-}  // namespace is2::pipeline
+}  // namespace is2::obs

@@ -1,28 +1,24 @@
 // Instrument value types of the `is2::obs` metrics layer: Counter, Gauge and
-// HistogramMetric. Instruments are created through an `obs::Registry` (which
-// owns them and guarantees stable addresses); subsystems keep raw pointers
-// and hit them directly on the hot path.
+// HistogramMetric, plus `Latency`, the one log-binned latency distribution
+// every layer shares (serve metrics, benches, the pipeline stage breakdown).
+// Instruments are created through an `obs::Registry` (which owns them and
+// guarantees stable addresses); subsystems keep raw pointers and update
+// them at the event, on the hot path.
 //
 // Threading contract: every instrument is safe for concurrent use from any
 // thread. Counter/Gauge updates are single relaxed atomics (lock-free,
-// wait-free). HistogramMetric::observe takes a per-instrument mutex — the
-// same granularity the pre-obs serve metrics used (one mutex around one
-// StageLatency update), never a global lock — because util::RunningStats /
-// util::Histogram are plain unsynchronized accumulators and the snapshot
-// must be internally consistent (stats.count() == histogram.total()).
-//
-// HistogramMetric deliberately replicates `pipeline::StageLatency`'s binning
-// (log10(ms) clamped to [10 us, 100 s], 10 bins per decade) with the same
-// util types in the same add() order, so a snapshot assigned into a
-// StageLatency is bit-identical to one maintained by StageLatency::add —
-// that is what lets ServiceMetrics become a registry-read view without
-// changing a single test expectation.
+// wait-free). HistogramMetric::observe takes a per-instrument mutex, never
+// a global lock, because `Latency` is a plain unsynchronized accumulator
+// and a snapshot must be internally consistent (stats.count() ==
+// histogram.total()). `Latency` itself is a value type: callers
+// synchronize.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
@@ -41,46 +37,69 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depth, resident bytes).
+/// Instantaneous value (queue depth, resident bytes). set() is last-write-
+/// wins; add() applies a signed delta, for a total kept by several writers
+/// (e.g. resident bytes summed over cache shards).
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
 };
 
-/// Latency distribution instrument: Welford stats + log-scale histogram over
-/// milliseconds, binned exactly like `pipeline::StageLatency` (see the file
-/// comment). observe() is one uncontended mutex + two accumulator adds.
-class HistogramMetric {
- public:
-  // Mirrors StageLatency::kMinMs / kMaxMs / kBinsPerDecade. Asserted equal
-  // in test_obs so the two can never drift apart silently.
-  static constexpr double kMinMs = 1e-2;
-  static constexpr double kMaxMs = 1e5;
+/// Latency distribution in milliseconds: Welford stats plus a histogram of
+/// log10(ms) over [10 us, 100 s], 10 bins per decade, so a sub-millisecond
+/// cache probe and a near-second cold build are both representable without
+/// saturating an edge bin.
+struct Latency {
+  static constexpr double kMinMs = 1e-2;  ///< 10 us: below this clamps low
+  static constexpr double kMaxMs = 1e5;   ///< 100 s: above this clamps high
   static constexpr std::size_t kBinsPerDecade = 10;
 
-  struct Snapshot {
-    util::RunningStats stats;
-    util::Histogram histogram{-2.0, 5.0, 7 * kBinsPerDecade};
-  };
+  util::RunningStats stats;
+  util::Histogram histogram{-2.0, 5.0, 7 * kBinsPerDecade};  ///< bins log10(ms)
 
+  void add(double ms) {
+    stats.add(ms);
+    histogram.add(std::log10(std::clamp(ms, kMinMs, kMaxMs)));
+  }
+  /// Lower edge of a histogram bin, back in milliseconds.
+  double bin_lo_ms(std::size_t bin) const {
+    return std::pow(10.0, histogram.lo() + static_cast<double>(bin) * histogram.bin_width());
+  }
+  /// Percentile estimate from the log-scale histogram, back in milliseconds
+  /// (p in [0,100]; 0 with no samples). Bin resolution bounds the error: 10
+  /// bins per decade means the estimate sits within a factor of 10^0.1
+  /// (~26%) of the exact order statistic — benches and exporters use these
+  /// instead of re-deriving quantiles from raw sample arrays.
+  double percentile_ms(double p) const;
+  double p50_ms() const { return percentile_ms(50.0); }
+  double p99_ms() const { return percentile_ms(99.0); }
+  /// Render the latency distribution with millisecond bin labels (log axis),
+  /// skipping empty leading/trailing decades.
+  std::string render(std::size_t max_width = 60) const;
+};
+
+/// Latency instrument: a mutex around one `Latency`. observe() is one
+/// uncontended lock + two accumulator adds; snapshot() copies the value.
+class HistogramMetric {
+ public:
   void observe(double ms) {
     util::MutexLock lock(mutex_);
-    state_.stats.add(ms);
-    state_.histogram.add(std::log10(std::clamp(ms, kMinMs, kMaxMs)));
+    latency_.add(ms);
   }
 
-  Snapshot snapshot() const {
+  Latency snapshot() const {
     util::MutexLock lock(mutex_);
-    return state_;
+    return latency_;
   }
 
  private:
   mutable util::Mutex mutex_;
-  Snapshot state_ GUARDED_BY(mutex_);
+  Latency latency_ GUARDED_BY(mutex_);
 };
 
 }  // namespace is2::obs

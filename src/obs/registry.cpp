@@ -109,6 +109,12 @@ RegistrySnapshot Registry::snapshot() const {
   return out;
 }
 
+Registry& use_or_own(Registry* given, std::unique_ptr<Registry>& owned) {
+  if (given) return *given;
+  owned = std::make_unique<Registry>();
+  return *owned;
+}
+
 Registry& Registry::global() {
   static Registry* instance = new Registry();  // leaked: outlives static dtors
   return *instance;

@@ -18,10 +18,17 @@
 // every instrument's current value under no global ordering: counters read
 // relaxed, histograms under their own mutex.
 //
+// One store: the registry is where counts and latencies live, not a copy
+// of them. Components (cache tiers, scheduler, inference backend, service)
+// update their instruments at the event, and their read views (stats(),
+// metrics()) are assembled from the instruments with no side effects, so a
+// snapshot taken at any moment is exact and counters never go backwards.
+//
 // Registries are instantiable so each GranuleService / BatchScheduler /
 // test owns isolated counters (the repo's tests build many services per
-// process with exact-count assertions); `Registry::global()` provides the
-// conventional process-wide instance for code without a natural owner.
+// process with exact-count assertions); a component handed no registry
+// counts into a private one (`use_or_own`); `Registry::global()` provides
+// the conventional process-wide instance for code without a natural owner.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +58,7 @@ struct MetricPoint {
   MetricType type = MetricType::counter;
   Labels labels;
   double value = 0.0;                   ///< counter / gauge
-  HistogramMetric::Snapshot histogram;  ///< histogram only
+  Latency histogram;                    ///< histogram only
 };
 
 struct RegistrySnapshot {
@@ -98,5 +105,10 @@ class Registry {
   /// node addresses stable across inserts.
   std::map<std::pair<std::string, Labels>, Entry> entries_ GUARDED_BY(mutex_);
 };
+
+/// The registry a component was given, or else a fresh private one kept
+/// alive in `owned`: a component built without a registry still counts,
+/// and its read views work the same either way.
+Registry& use_or_own(Registry* given, std::unique_ptr<Registry>& owned);
 
 }  // namespace is2::obs

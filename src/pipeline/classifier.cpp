@@ -72,13 +72,17 @@ std::vector<SurfaceClass> classify_windows(nn::Sequential& model,
 
 NnBackend::NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
                      std::size_t replicas, std::size_t batch_windows,
-                     std::uint64_t weights_version)
+                     std::uint64_t weights_version, obs::Registry* registry)
     : scaler_(scaler),
       window_(window),
       batch_windows_(batch_windows ? batch_windows : 256),
       weights_version_(weights_version) {
   if (!factory) throw std::invalid_argument("NnBackend: null model factory");
   if (window_ == 0) throw std::invalid_argument("NnBackend: zero window");
+  obs::Registry& reg = obs::use_or_own(registry, owned_registry_);
+  batches_total_ =
+      &reg.counter("is2_serve_inference_batches_total", {}, "backend forward passes");
+  windows_total_ = &reg.counter("is2_serve_inference_windows_total", {}, "windows classified");
   // One replica per concurrent caller: a checkout waits only when more
   // callers than `replicas` classify at once.
   const std::size_t n = replicas ? replicas : 1;
@@ -153,8 +157,8 @@ std::vector<SurfaceClass> NnBackend::classify(
   }
   return_replica(std::move(model));
 
-  batches_.fetch_add(batches, std::memory_order_relaxed);
-  windows_.fetch_add(n_windows, std::memory_order_relaxed);
+  batches_total_->inc(batches);
+  windows_total_->inc(n_windows);
 
   return centers_with_edge_fill(pred.data(), n, window);
 }

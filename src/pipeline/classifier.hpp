@@ -8,14 +8,14 @@
 // Ownership / threading contract: `classify()` must be safe to call from
 // concurrent builds. `NnBackend` owns a checkout pool of model replicas
 // (inference mutates Sequential scratch state), one per concurrent caller;
-// each call runs on its caller's thread. `DecisionTreeBackend` wraps an
+// each call runs on its caller's thread; its inference counters are
+// relaxed atomics in an `obs::Registry`. `DecisionTreeBackend` wraps an
 // immutable fitted tree and is trivially concurrent. A backend's
 // `fingerprint()` is part of cache identity: it must change whenever the
 // backend would produce different classes (weights version, tree
 // structure).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,6 +24,7 @@
 #include "atl03/types.hpp"
 #include "baseline/decision_tree.hpp"
 #include "nn/model.hpp"
+#include "obs/registry.hpp"
 #include "pipeline/kinds.hpp"
 #include "resample/segmenter.hpp"
 #include "util/mutex.hpp"
@@ -68,10 +69,12 @@ class NnBackend : public ClassifierBackend {
   using ModelFactory = std::function<nn::Sequential()>;
 
   /// `replicas` bounds concurrent classify() calls; a caller beyond that
-  /// waits for a replica to be returned.
+  /// waits for a replica to be returned. Forward passes and windows are
+  /// counted into `is2_serve_inference_{batches,windows}_total` of
+  /// `registry` (nullptr = a private registry).
   NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
             std::size_t replicas = 1, std::size_t batch_windows = 256,
-            std::uint64_t weights_version = 0);
+            std::uint64_t weights_version = 0, obs::Registry* registry = nullptr);
 
   std::vector<atl03::SurfaceClass> classify(
       const std::vector<resample::FeatureRow>& features) override;
@@ -79,9 +82,9 @@ class NnBackend : public ClassifierBackend {
   Backend id() const override { return Backend::nn; }
   std::uint64_t fingerprint() const override;
 
-  /// Cumulative forward-pass batches / windows classified (serve metrics).
-  std::uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
-  std::uint64_t windows() const { return windows_.load(std::memory_order_relaxed); }
+  /// Cumulative forward-pass batches / windows classified.
+  std::uint64_t batches() const { return batches_total_->value(); }
+  std::uint64_t windows() const { return windows_total_->value(); }
 
   std::size_t window() const { return window_; }
   const resample::FeatureScaler& scaler() const { return scaler_; }
@@ -99,8 +102,9 @@ class NnBackend : public ClassifierBackend {
   util::CondVar replica_cv_;
   std::vector<std::unique_ptr<nn::Sequential>> replicas_ GUARDED_BY(replica_mutex_);
 
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> windows_{0};
+  std::unique_ptr<obs::Registry> owned_registry_;  ///< only when given none
+  obs::Counter* batches_total_ = nullptr;
+  obs::Counter* windows_total_ = nullptr;
 };
 
 /// The classical baseline: a fitted CART tree classifying each segment's

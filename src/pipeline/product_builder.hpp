@@ -21,14 +21,15 @@
 //  * The classify stage is pluggable (`ClassifierBackend`): the nn replica
 //    path and the ATL07-style decision tree drop into the same graph, and
 //    the backend's identity participates in `product_fingerprint`.
-//  * Every stage is latency-instrumented (StageTrace per build,
-//    BuilderMetrics aggregate) so batch jobs and benches get the same
-//    breakdown the serving metrics always had.
+//  * Every stage is timed: a build fills the caller's StageTrace (and
+//    opens one obs span per stage), so batch jobs, benches and serve get
+//    the same per-stage breakdown. The builder keeps no metrics of its
+//    own; serve records each trace into its registry.
 //
 // Ownership / threading contract: a ProductBuilder is immutable after
-// construction apart from its internally locked BuilderMetrics, so one
-// instance may run builds from many threads concurrently (each build owns
-// its Artifacts; the backend manages its own concurrency). Construction
+// construction, so one instance may run builds from many threads
+// concurrently (each build owns its Artifacts; the backend manages its own
+// concurrency). Construction
 // validates the PipelineConfig (`PipelineConfig::validate()`) so bad
 // configs fail at the API boundary instead of deep inside a stage.
 #pragma once
@@ -140,13 +141,12 @@ class ProductBuilder {
   /// Run every not-yet-done stage up to the depth `kind` requires.
   /// `backend` may be null only when the classify stage is already done
   /// (resumed artifacts); `method` selects the sea-surface estimator.
-  /// Records the build into metrics() and into `trace` when given.
+  /// Stage wall times are recorded into `trace` when given.
   void build(Artifacts& art, ProductKind kind, ClassifierBackend* backend,
              seasurface::Method method, StageTrace* trace = nullptr) const;
 
   const core::PipelineConfig& config() const { return config_; }
   const geo::GeoCorrections& corrections() const { return corrections_; }
-  BuilderMetrics& metrics() const { return metrics_; }
 
  private:
   void run_stage(Artifacts& art, StageId id, ClassifierBackend* backend,
@@ -155,7 +155,6 @@ class ProductBuilder {
   core::PipelineConfig config_;
   geo::GeoCorrections corrections_;
   resample::FirstPhotonBiasCorrector fpb_;
-  mutable BuilderMetrics metrics_;
 };
 
 }  // namespace is2::pipeline

@@ -457,7 +457,6 @@ ClusterMetrics Cluster::metrics() const {
 }
 
 obs::RegistrySnapshot Cluster::obs_snapshot() const {
-  if (disk_) (void)disk_->stats();  // sync the shared tier's lazy mirror
   obs::RegistrySnapshot merged = registry_.snapshot();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     obs::RegistrySnapshot node_snap = nodes_[i]->obs_snapshot();

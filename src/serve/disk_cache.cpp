@@ -172,21 +172,19 @@ GranuleProduct DiskCache::deserialize(std::span<const std::uint8_t> bytes,
 
 DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
   if (config_.dir.empty()) throw std::invalid_argument("DiskCache: empty directory");
-  if (config_.registry) {
-    obs::Registry& reg = *config_.registry;
-    const obs::Labels tier{{"tier", "disk"}};
-    hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
-    misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
-    writes_total_ = &reg.counter("is2_cache_writes_total", tier, "successful put publishes");
-    evictions_total_ =
-        &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
-    corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
-                                  "stale/corrupt/partial files deleted");
-    read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
-                                       "failed reads retried before the corrupt-drop path");
-    bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident on-disk bytes");
-    entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident file count");
-  }
+  obs::Registry& reg = obs::use_or_own(config_.registry, owned_registry_);
+  const obs::Labels tier{{"tier", "disk"}};
+  hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
+  misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
+  writes_total_ = &reg.counter("is2_cache_writes_total", tier, "successful put publishes");
+  evictions_total_ =
+      &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
+  corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
+                                "stale/corrupt/partial files deleted");
+  read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
+                                     "failed reads retried before the corrupt-drop path");
+  bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident on-disk bytes");
+  entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident file count");
   fs::create_directories(config_.dir);
 
   // The object is not shared yet, but the manifest rebuild below touches
@@ -212,7 +210,7 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
       if (path.find(".is2p.tmp.") != std::string::npos) {  // crashed mid-write
         std::error_code ec;
         fs::remove(de.path(), ec);
-        ++corrupt_dropped_;
+        corrupt_total_->inc();
       }
       continue;
     }
@@ -233,7 +231,7 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
     } catch (const std::exception&) {
       std::error_code ec;
       fs::remove(de.path(), ec);
-      ++corrupt_dropped_;
+      corrupt_total_->inc();
     }
   }
   // Oldest files become the LRU end (first eviction candidates).
@@ -247,6 +245,12 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
     index_[lru_.back().key] = std::prev(lru_.end());
   }
   evict_over_budget_locked();
+  set_size_gauges_locked();
+}
+
+void DiskCache::set_size_gauges_locked() {
+  bytes_gauge_->set(static_cast<double>(bytes_));
+  entries_gauge_->set(static_cast<double>(lru_.size()));
 }
 
 void DiskCache::drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) {
@@ -255,10 +259,8 @@ void DiskCache::drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) {
   bytes_ -= it->bytes;
   index_.erase(it->key);
   lru_.erase(it);
-  if (corrupt)
-    ++corrupt_dropped_;
-  else
-    ++evictions_;
+  (corrupt ? corrupt_total_ : evictions_total_)->inc();
+  set_size_gauges_locked();
 }
 
 void DiskCache::evict_over_budget_locked() {
@@ -291,7 +293,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
     util::MutexLock lock(mutex_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
-      if (count_stats) ++misses_;
+      if (count_stats) misses_total_->inc();
       return nullptr;
     }
     path = it->second->path;
@@ -316,12 +318,12 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
           util::MutexLock lock(mutex_);
           const auto it = index_.find(key);
           if (it == index_.end()) {
-            if (count_stats) ++misses_;
+            if (count_stats) misses_total_->inc();
             return nullptr;
           }
           path = it->second->path;
           gen = it->second->gen;
-          ++disk_read_retries_;
+          read_retries_total_->inc();
         }
         backoff.sleep();
         continue;
@@ -339,7 +341,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
       // file always carries a newer generation and is never deleted here.
       if (it != index_.end() && it->second->gen == gen)
         drop_entry_locked(it->second, /*corrupt=*/true);
-      if (count_stats) ++misses_;
+      if (count_stats) misses_total_->inc();
       return nullptr;
     }
   }
@@ -347,7 +349,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   util::MutexLock lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);  // refresh
-  if (count_stats) ++hits_;
+  if (count_stats) hits_total_->inc();
   return product;
 }
 
@@ -399,8 +401,9 @@ void DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
   lru_.push_front(Entry{key, path, bytes.size(), next_gen_++});
   index_[key] = lru_.begin();
   bytes_ += bytes.size();
-  ++writes_;
+  writes_total_->inc();
   evict_over_budget_locked();
+  set_size_gauges_locked();
 }
 
 bool DiskCache::contains(const ProductKey& key) const {
@@ -408,44 +411,17 @@ bool DiskCache::contains(const ProductKey& key) const {
   return index_.count(key) != 0;
 }
 
-void DiskCache::sync_registry_locked(const DiskCacheStats& totals) const {
-  if (!hits_total_) return;
-  // Counter increments are exact deltas vs the last sync (totals only grow).
-  hits_total_->inc(totals.hits - exported_.hits);
-  misses_total_->inc(totals.misses - exported_.misses);
-  writes_total_->inc(totals.writes - exported_.writes);
-  evictions_total_->inc(totals.evictions - exported_.evictions);
-  corrupt_total_->inc(totals.corrupt_dropped - exported_.corrupt_dropped);
-  read_retries_total_->inc(totals.disk_read_retries - exported_.disk_read_retries);
-  bytes_gauge_->set(static_cast<double>(totals.bytes));
-  entries_gauge_->set(static_cast<double>(totals.entries));
-  exported_ = totals;
-}
-
 DiskCacheStats DiskCache::stats() const {
-  util::MutexLock lock(mutex_);
   DiskCacheStats out;
-  out.hits = hits_;
-  out.misses = misses_;
-  out.writes = writes_;
-  out.evictions = evictions_;
-  out.corrupt_dropped = corrupt_dropped_;
-  out.disk_read_retries = disk_read_retries_;
-  out.bytes = bytes_;
-  out.entries = lru_.size();
-  sync_registry_locked(out);
+  out.hits = hits_total_->value();
+  out.misses = misses_total_->value();
+  out.writes = writes_total_->value();
+  out.evictions = evictions_total_->value();
+  out.corrupt_dropped = corrupt_total_->value();
+  out.disk_read_retries = read_retries_total_->value();
+  out.bytes = static_cast<std::size_t>(bytes_gauge_->value());
+  out.entries = static_cast<std::size_t>(entries_gauge_->value());
   return out;
-}
-
-void DiskCache::clear() {
-  util::MutexLock lock(mutex_);
-  for (const auto& e : lru_) {
-    std::error_code ec;
-    fs::remove(e.path, ec);
-  }
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
 }
 
 }  // namespace is2::serve

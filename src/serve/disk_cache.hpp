@@ -30,6 +30,11 @@
 //  * The directory is byte-budgeted: an LRU manifest (rebuilt from file
 //    headers at startup, ordered by mtime) evicts least-recently-used files
 //    until the directory fits.
+//  * Counting: every hit, miss, write, eviction, corrupt drop and read retry
+//    bumps its `is2_cache_*_total{tier="disk"}` counter at the event, and
+//    the resident bytes/entries gauges are set wherever the manifest
+//    changes, in the registry the cache is given (or a private one).
+//    stats() only reads them.
 #pragma once
 
 #include <cstddef>
@@ -53,10 +58,8 @@ namespace is2::serve {
 struct DiskCacheConfig {
   std::string dir;                         ///< cache directory (created if absent)
   std::size_t byte_budget = 1ull << 30;    ///< total on-disk bytes before LRU eviction
-  /// When set, the cache mirrors its counters into `is2_cache_*{tier="disk"}`
-  /// instruments, synced lazily inside stats() (exact deltas since the last
-  /// sync) — the get/put hot paths are untouched. The registry must outlive
-  /// the cache.
+  /// Registry of the `is2_cache_*{tier="disk"}` instruments (nullptr = a
+  /// private one). It must outlive the cache.
   obs::Registry* registry = nullptr;
   /// A failed file read (IO error, torn read under concurrent eviction,
   /// injected `disk.read` fault) is retried this many times with backoff
@@ -129,10 +132,8 @@ class DiskCache {
   /// Manifest-only probe: no file IO, no LRU refresh, no counters.
   bool contains(const ProductKey& key) const;
 
+  /// Read-only view of the registry instruments.
   DiskCacheStats stats() const;
-
-  /// Delete every cache file and reset the manifest (not the counters).
-  void clear();
 
   const std::string& dir() const { return config_.dir; }
   std::size_t byte_budget() const { return config_.byte_budget; }
@@ -171,7 +172,8 @@ class DiskCache {
   void evict_over_budget_locked() REQUIRES(mutex_);
   void drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) REQUIRES(mutex_);
   std::shared_ptr<const GranuleProduct> get_impl(const ProductKey& key, bool count_stats);
-  void sync_registry_locked(const DiskCacheStats& totals) const REQUIRES(mutex_);
+  /// Publish the manifest's size to the bytes/entries gauges.
+  void set_size_gauges_locked() REQUIRES(mutex_);
 
   DiskCacheConfig config_;
   std::function<void(const ProductKey&)> read_hook_;  ///< tests only
@@ -181,13 +183,8 @@ class DiskCache {
       GUARDED_BY(mutex_);
   std::size_t bytes_ GUARDED_BY(mutex_) = 0;
   std::uint64_t next_gen_ GUARDED_BY(mutex_) = 1;  ///< publish generation source
-  std::uint64_t hits_ GUARDED_BY(mutex_) = 0, misses_ GUARDED_BY(mutex_) = 0,
-      writes_ GUARDED_BY(mutex_) = 0, evictions_ GUARDED_BY(mutex_) = 0,
-      corrupt_dropped_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t disk_read_retries_ GUARDED_BY(mutex_) = 0;
 
-  /// Registry mirror (nullptr = off); the raw counters above stay the source
-  /// of truth and `exported_` tracks what was already pushed (under mutex_).
+  std::unique_ptr<obs::Registry> owned_registry_;  ///< only when given none
   obs::Counter* hits_total_ = nullptr;
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* writes_total_ = nullptr;
@@ -196,7 +193,6 @@ class DiskCache {
   obs::Counter* read_retries_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
-  mutable DiskCacheStats exported_ GUARDED_BY(mutex_);
 };
 
 }  // namespace is2::serve

@@ -15,6 +15,9 @@
 // `ServiceMetrics` (and its per-class slice) live here rather than in
 // service.hpp because they are part of the node surface: the cluster
 // aggregates them per node and the benches read them through NodeHandle.
+// They are read-only views of the node's `obs::Registry`: every count and
+// latency is recorded there at the event, so metrics() and obs_snapshot()
+// only read.
 //
 // Ownership / threading contract: every method on a NodeHandle is
 // thread-safe (the router calls it from many client threads concurrently);
@@ -30,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "pipeline/stage.hpp"
 #include "serve/disk_cache.hpp"
@@ -41,11 +45,6 @@ class Engine;
 
 namespace is2::serve {
 
-/// Per-stage latency machinery lives with the stage graph
-/// (pipeline/stage.hpp) so batch builds and benches share it; this alias
-/// keeps serve-side code and tests source-compatible.
-using StageLatency = pipeline::StageLatency;
-
 /// Per-priority-class slice of the service metrics: how much traffic the
 /// class sent and the service latency it observed. Fast RAM hits record ~0
 /// (bottom histogram bin); scheduled jobs record queue wait + execution
@@ -54,7 +53,7 @@ using StageLatency = pipeline::StageLatency;
 /// below requests.
 struct ClassMetrics {
   std::uint64_t requests = 0;
-  StageLatency latency;  ///< RAM probe ~0 / queue wait + disk load / + build
+  obs::Latency latency;  ///< RAM probe ~0 / queue wait + disk load / + build
 };
 
 struct ServiceMetrics {
@@ -67,23 +66,25 @@ struct ServiceMetrics {
   std::uint64_t writeback_failures = 0;  ///< async disk writes that threw
   std::uint64_t inference_batches = 0;
   std::uint64_t inference_windows = 0;
-  StageLatency load;        ///< shard read + preprocess + resample + FPB
-  StageLatency features;    ///< baseline + feature rows + standardization
-  StageLatency inference;   ///< classify stage (batched backend inference)
-  StageLatency seasurface;  ///< local sea surface detection
-  StageLatency freeboard;   ///< freeboard computation
-  StageLatency disk_load;   ///< disk-tier hit: read + deserialize + promote
-  StageLatency total;       ///< whole build (cold only; resumed = suffix)
+  obs::Latency load;        ///< shard read + preprocess + resample + FPB
+  obs::Latency features;    ///< baseline + feature rows + standardization
+  obs::Latency inference;   ///< classify stage (batched backend inference)
+  obs::Latency seasurface;  ///< local sea surface detection
+  obs::Latency freeboard;   ///< freeboard computation
+  obs::Latency disk_load;   ///< disk-tier hit: read + deserialize + promote
+  obs::Latency total;       ///< whole build (cold only; resumed = suffix)
   /// Scheduled jobs only (the fast RAM path never queues): how long the job
   /// waited for a worker, and the full queue wait + execution. service_time
   /// minus queue_wait is pure execution — the split the benches trend.
-  StageLatency queue_wait;
-  StageLatency service_time;
+  obs::Latency queue_wait;
+  obs::Latency service_time;
   std::array<ClassMetrics, kPriorityClasses> by_class;  ///< index = Priority
-  /// Raw per-stage distributions straight from the ProductBuilder — the
-  /// seven stage-graph stages by StageId (shard IO is serve-side and lives
-  /// in `load` above, not here). The benches emit these.
-  pipeline::StageSnapshot builder{};
+  /// Per-stage distributions of the seven stage-graph stages by StageId —
+  /// the `is2_serve_stage_ms{stage=<pipeline::stage_name>}` series (classify
+  /// under `inference`), so features/seasurface/freeboard equal the fields
+  /// above. Shard IO is serve-side and lives in `load`, not here. The
+  /// benches emit these.
+  std::array<obs::Latency, pipeline::kNumStages> builder{};
   std::uint64_t resumed_builds = 0;  ///< builds seeded from a shallower kind
 };
 
@@ -114,9 +115,8 @@ class NodeHandle {
 
   virtual ServiceMetrics metrics() const = 0;
 
-  /// Registry snapshot with every lazily-synced instrument refreshed —
-  /// what an exposition endpoint serves; the cluster merges these under a
-  /// per-node `node` label.
+  /// Snapshot of the node's registry — what an exposition endpoint
+  /// serves; the cluster merges these under a per-node `node` label.
   virtual obs::RegistrySnapshot obs_snapshot() const = 0;
 
   // Peer-fetch surface ------------------------------------------------------

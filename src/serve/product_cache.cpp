@@ -33,30 +33,15 @@ ProductCache::ProductCache(std::size_t byte_budget, std::size_t num_shards,
   if (shard_budget_ == 0) shard_budget_ = 1;
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  if (registry) {
-    const obs::Labels tier{{"tier", "ram"}};
-    hits_total_ = &registry->counter("is2_cache_hits_total", tier, "client lookups served");
-    misses_total_ = &registry->counter("is2_cache_misses_total", tier, "client lookups missed");
-    evictions_total_ =
-        &registry->counter("is2_cache_evictions_total", tier, "entries evicted by byte budget");
-    insertions_total_ = &registry->counter("is2_cache_insertions_total", tier, "entries inserted");
-    bytes_gauge_ = &registry->gauge("is2_cache_bytes", tier, "resident product bytes");
-    entries_gauge_ = &registry->gauge("is2_cache_entries", tier, "resident product count");
-  }
-}
-
-void ProductCache::sync_registry(const CacheStats& totals) const {
-  if (!hits_total_) return;
-  util::MutexLock lock(export_mutex_);
-  // Counter increments are exact deltas vs the last sync; totals can only
-  // grow, so the subtractions never underflow.
-  hits_total_->inc(totals.hits - exported_.hits);
-  misses_total_->inc(totals.misses - exported_.misses);
-  evictions_total_->inc(totals.evictions - exported_.evictions);
-  insertions_total_->inc(totals.insertions - exported_.insertions);
-  bytes_gauge_->set(static_cast<double>(totals.bytes));
-  entries_gauge_->set(static_cast<double>(totals.entries));
-  exported_ = totals;
+  obs::Registry& reg = obs::use_or_own(registry, owned_registry_);
+  const obs::Labels tier{{"tier", "ram"}};
+  hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
+  misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
+  evictions_total_ =
+      &reg.counter("is2_cache_evictions_total", tier, "entries evicted by byte budget");
+  insertions_total_ = &reg.counter("is2_cache_insertions_total", tier, "entries inserted");
+  bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident product bytes");
+  entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident product count");
 }
 
 ProductCache::Shard& ProductCache::shard_for(const ProductKey& key) const {
@@ -68,10 +53,10 @@ std::shared_ptr<const GranuleProduct> ProductCache::get(const ProductKey& key) {
   util::MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    misses_total_->inc();
     return nullptr;
   }
-  ++shard.hits;
+  hits_total_->inc();
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
   return it->second->product;
 }
@@ -91,6 +76,10 @@ void ProductCache::put(const ProductKey& key, std::shared_ptr<const GranuleProdu
   Shard& shard = shard_for(key);
   util::MutexLock lock(shard.mutex);
 
+  // The gauges move by this shard's net change, under its lock, so their
+  // sums over all shards stay exact.
+  const std::size_t bytes_before = shard.bytes;
+  const std::size_t entries_before = shard.lru.size();
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.bytes -= it->second->bytes;
@@ -100,15 +89,18 @@ void ProductCache::put(const ProductKey& key, std::shared_ptr<const GranuleProdu
   shard.lru.push_front(Entry{key, std::move(product), bytes});
   shard.index[key] = shard.lru.begin();
   shard.bytes += bytes;
-  ++shard.insertions;
+  insertions_total_->inc();
 
   while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
-    ++shard.evictions;
+    evictions_total_->inc();
   }
+  bytes_gauge_->add(static_cast<double>(shard.bytes) - static_cast<double>(bytes_before));
+  entries_gauge_->add(static_cast<double>(shard.lru.size()) -
+                      static_cast<double>(entries_before));
 }
 
 bool ProductCache::contains(const ProductKey& key) const {
@@ -119,26 +111,13 @@ bool ProductCache::contains(const ProductKey& key) const {
 
 CacheStats ProductCache::stats() const {
   CacheStats out;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.evictions += shard->evictions;
-    out.insertions += shard->insertions;
-    out.bytes += shard->bytes;
-    out.entries += shard->lru.size();
-  }
-  sync_registry(out);
+  out.hits = hits_total_->value();
+  out.misses = misses_total_->value();
+  out.evictions = evictions_total_->value();
+  out.insertions = insertions_total_->value();
+  out.bytes = static_cast<std::size_t>(bytes_gauge_->value());
+  out.entries = static_cast<std::size_t>(entries_gauge_->value());
   return out;
-}
-
-void ProductCache::clear() {
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
 }
 
 }  // namespace is2::serve

@@ -7,11 +7,17 @@
 // individual products are. Sharding (key-hash -> shard) keeps lock
 // contention low under concurrent mixed hit/miss traffic.
 //
-// Ownership / threading contract: every method is thread-safe; a call locks
-// exactly one shard mutex (stats()/clear() lock each in turn) and performs
-// no IO, so nothing here blocks beyond a short critical section. Products
-// are immutable once inserted and handed out as shared_ptr<const>, so a hit
-// stays valid after eviction; callers never copy product bytes.
+// Counting: hits, misses, insertions and evictions are `is2_cache_*_total
+// {tier="ram"}` counters bumped at the event, and the resident bytes/entries
+// gauges move with every insert and eviction (a total across shards), all
+// in the registry the cache is given (or a private one). stats() only reads
+// them.
+//
+// Ownership / threading contract: every method is thread-safe; get/peek/
+// put/contains lock exactly one shard mutex and perform no IO, so nothing
+// here blocks beyond a short critical section; stats() takes no lock.
+// Products are immutable once inserted and handed out as shared_ptr<const>,
+// so a hit stays valid after eviction; callers never copy product bytes.
 #pragma once
 
 #include <cstddef>
@@ -91,10 +97,8 @@ struct CacheStats {
 class ProductCache {
  public:
   /// `byte_budget` is split evenly across `num_shards` independent LRU lists.
-  /// With a `registry`, the cache mirrors its counters into
-  /// `is2_cache_*{tier="ram"}` instruments — synced lazily inside stats()
-  /// (delta of the per-shard counters since the last sync), so the hot get/
-  /// put paths stay exactly one shard lock with no extra atomics.
+  /// Counts go to `registry` (nullptr = a private registry), which must
+  /// outlive the cache.
   explicit ProductCache(std::size_t byte_budget, std::size_t num_shards = 8,
                         obs::Registry* registry = nullptr);
 
@@ -119,8 +123,8 @@ class ProductCache {
   /// Lookup without touching LRU order or hit/miss counters.
   bool contains(const ProductKey& key) const;
 
+  /// Read-only view of the registry instruments.
   CacheStats stats() const;
-  void clear();
 
   std::size_t byte_budget() const { return byte_budget_; }
   std::size_t num_shards() const { return shards_.size(); }
@@ -136,31 +140,22 @@ class ProductCache {
     std::list<Entry> lru GUARDED_BY(mutex);  ///< front = most recently used
     std::unordered_map<ProductKey, std::list<Entry>::iterator, ProductKeyHash> index
         GUARDED_BY(mutex);
-    std::size_t bytes GUARDED_BY(mutex) = 0;
-    std::uint64_t hits GUARDED_BY(mutex) = 0, misses GUARDED_BY(mutex) = 0,
-        evictions GUARDED_BY(mutex) = 0, insertions GUARDED_BY(mutex) = 0;
+    std::size_t bytes GUARDED_BY(mutex) = 0;  ///< this shard's budget check
   };
 
   Shard& shard_for(const ProductKey& key) const;
-  void sync_registry(const CacheStats& totals) const;
 
   std::size_t byte_budget_;
   std::size_t shard_budget_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Registry mirror (nullptr = off). The shard counters stay the source of
-  /// truth; `exported_` remembers what has already been pushed so counter
-  /// increments are exact deltas. The instrument pointers are set once at
-  /// construction (stable for the registry's lifetime) — only the delta
-  /// bookkeeping needs the export mutex.
+  std::unique_ptr<obs::Registry> owned_registry_;  ///< only when given none
   obs::Counter* hits_total_ = nullptr;
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* insertions_total_ = nullptr;
-  obs::Gauge* bytes_gauge_ = nullptr;
-  obs::Gauge* entries_gauge_ = nullptr;
-  mutable util::Mutex export_mutex_;
-  mutable CacheStats exported_ GUARDED_BY(export_mutex_);
+  obs::Gauge* bytes_gauge_ = nullptr;    ///< sum of the shards' bytes
+  obs::Gauge* entries_gauge_ = nullptr;  ///< sum of the shards' entries
 };
 
 }  // namespace is2::serve

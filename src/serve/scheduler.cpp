@@ -14,41 +14,45 @@ const char* priority_name(Priority p) {
   return "?";
 }
 
-obs::Labels BatchScheduler::class_labels(Priority cls) const {
-  return {{"class", priority_name(cls)}};
+namespace {
+
+obs::Labels class_labels(Priority cls) { return {{"class", priority_name(cls)}}; }
+
+DepthGauges depth_gauges(obs::Registry& registry) {
+  DepthGauges out{};
+  for (std::size_t c = 0; c < kPriorityClasses; ++c)
+    out[c] = &registry.gauge("is2_sched_queue_depth", class_labels(static_cast<Priority>(c)),
+                             "jobs waiting for a worker");
+  return out;
 }
+
+}  // namespace
 
 BatchScheduler::BatchScheduler(const Config& config, Builder builder)
     : config_(config),
       builder_(std::move(builder)),
-      queue_(config.queue_capacity, config.class_weights),
+      registry_(obs::use_or_own(config.registry, owned_registry_)),
+      queue_(config.queue_capacity, config.class_weights, depth_gauges(registry_)),
       pool_(config.workers ? config.workers : 1, "sched") {
   if (!builder_) throw std::invalid_argument("BatchScheduler: null builder");
-  registry_ = config_.registry;
-  if (!registry_) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {
     const auto cls = static_cast<Priority>(c);
-    dispatched_total_[c] = &registry_->counter("is2_sched_dispatched_total", class_labels(cls),
-                                               "build jobs accepted into the queue");
-    coalesced_total_[c] = &registry_->counter("is2_sched_coalesced_total", class_labels(cls),
-                                              "requests attached to an in-flight build");
-    rejected_total_[c] = &registry_->counter(
+    dispatched_total_[c] = &registry_.counter("is2_sched_dispatched_total", class_labels(cls),
+                                              "build jobs accepted into the queue");
+    coalesced_total_[c] = &registry_.counter("is2_sched_coalesced_total", class_labels(cls),
+                                             "requests attached to an in-flight build");
+    rejected_total_[c] = &registry_.counter(
         "is2_sched_rejected_total", class_labels(cls),
         "requests shed on arrival (try_submit full, or submit racing shutdown)");
-    displaced_total_[c] = &registry_->counter("is2_sched_displaced_total", class_labels(cls),
-                                              "queued jobs shed to admit a higher class");
-    deadline_expired_total_[c] = &registry_->counter(
+    displaced_total_[c] = &registry_.counter("is2_sched_displaced_total", class_labels(cls),
+                                             "queued jobs shed to admit a higher class");
+    deadline_expired_total_[c] = &registry_.counter(
         "is2_sched_deadline_expired_total", class_labels(cls),
         "jobs dropped at dequeue: queue wait exceeded the request deadline");
-    queue_depth_gauge_[c] = &registry_->gauge("is2_sched_queue_depth", class_labels(cls),
-                                              "jobs waiting for a worker");
   }
   completed_total_ =
-      &registry_->counter("is2_sched_completed_total", {}, "build jobs finished (ok or error)");
-  in_flight_gauge_ = &registry_->gauge("is2_sched_in_flight", {}, "keys queued or building");
+      &registry_.counter("is2_sched_completed_total", {}, "build jobs finished (ok or error)");
+  in_flight_gauge_ = &registry_.gauge("is2_sched_in_flight", {}, "keys queued or building");
   drains_.reserve(pool_.size());
   for (std::size_t w = 0; w < pool_.size(); ++w)
     drains_.push_back(pool_.submit([this] { drain_loop(); }));
@@ -102,6 +106,7 @@ ProductFuture BatchScheduler::submit(const ProductRequest& request, const Produc
     }
     job = make_job(request, key);
     inflight_[key] = job;
+    set_in_flight_locked();
   }
   // Blocking push outside the lock so other submitters can still coalesce
   // onto this job while we wait for queue space (that is the backpressure).
@@ -119,6 +124,7 @@ ProductFuture BatchScheduler::submit(const ProductRequest& request, const Produc
     {
       util::MutexLock lock(mutex_);
       inflight_.erase(key);
+      set_in_flight_locked();
     }
     rejected_total_[static_cast<std::size_t>(request.priority)]->inc();
     if (config_.tracer) config_.tracer->record_instant("rejected", job->trace.trace_id());
@@ -188,6 +194,7 @@ std::optional<ProductFuture> BatchScheduler::try_submit(const ProductRequest& re
                   " job for " + std::string(priority_name(request.priority)) + " admission")));
   }
   inflight_[key] = job;
+  set_in_flight_locked();
   dispatched_total_[static_cast<std::size_t>(job->cls)]->inc();
   return job->future;
 }
@@ -214,6 +221,7 @@ void BatchScheduler::drain_loop() {
         // carry another request's expired budget.
         util::MutexLock lock(mutex_);
         inflight_.erase(job->key);
+        set_in_flight_locked();
         completed_total_->inc();
       }
       job->promise.set_exception(std::make_exception_ptr(DeadlineError(
@@ -243,13 +251,17 @@ void BatchScheduler::drain_loop() {
     }
     util::MutexLock lock(mutex_);
     inflight_.erase(job->key);
+    set_in_flight_locked();
     completed_total_->inc();
   }
 }
 
+void BatchScheduler::set_in_flight_locked() {
+  in_flight_gauge_->set(static_cast<double>(inflight_.size()));
+}
+
 SchedulerStats BatchScheduler::stats() const {
   SchedulerStats out;
-  util::MutexLock lock(mutex_);
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {
     const std::uint64_t rejected = rejected_total_[c]->value();
     const std::uint64_t displaced = displaced_total_[c]->value();
@@ -264,12 +276,10 @@ SchedulerStats BatchScheduler::stats() const {
     // queued job under the class it held.
     out.shed_by_class[c] = rejected + displaced;
     out.queue_depth_by_class[c] = queue_.size(static_cast<Priority>(c));
-    queue_depth_gauge_[c]->set(static_cast<double>(out.queue_depth_by_class[c]));
+    out.queue_depth += out.queue_depth_by_class[c];
   }
   out.completed = completed_total_->value();
-  out.queue_depth = queue_.size();
-  out.in_flight = inflight_.size();
-  in_flight_gauge_->set(static_cast<double>(out.in_flight));
+  out.in_flight = static_cast<std::size_t>(in_flight_gauge_->value());
   return out;
 }
 

@@ -7,18 +7,18 @@
 //    important. `interactive` is user-facing traffic, `batch` is planned
 //    reprocessing, `background` is opportunistic work (prefetch, backfill)
 //    that is always the first to be shed.
-//  * `BoundedQueue<T>` — a single-class bounded MPMC queue. push() blocks
-//    while the queue is full (backpressure toward the client), try_push()
-//    sheds load instead; pop() blocks while empty and drains remaining items
-//    after close() so shutdown never drops accepted work.
-//  * `PriorityQueue<T>` — the per-class variant the scheduler dispatches
-//    from: one bounded deque per `Priority` sharing a total capacity,
-//    weighted-round-robin pop (so a flood of interactive work cannot starve
-//    background forever, and vice versa), and displacement on try_push: when
-//    full, the newest queued item of the lowest class strictly below the
-//    incoming one is shed to make room (background first). promote() moves a
-//    queued item to a higher class when an important requester coalesces
-//    onto a job queued by a less important one.
+//  * `PriorityQueue<T>` — the bounded MPMC queue the scheduler dispatches
+//    from: one deque per `Priority` sharing a total capacity. push() blocks
+//    while the queue is full (backpressure toward the client); pop() blocks
+//    while empty and drains remaining items after close() so shutdown never
+//    drops accepted work. Dequeue is weighted round-robin (so a flood of
+//    interactive work cannot starve background forever, and vice versa),
+//    and try_push displaces instead of blocking: when full, the newest
+//    queued item of the lowest class strictly below the incoming one is shed
+//    to make room (background first). promote() moves a queued item to a
+//    higher class when an important requester coalesces onto a job queued
+//    by a less important one. Optional per-class depth gauges are set under
+//    the queue lock whenever a lane changes.
 //  * `BatchScheduler` — coalesces concurrent requests for the same
 //    (granule, beam, config) into a single build job (single-flight), queues
 //    cold jobs through the priority queue, and executes them on a
@@ -62,6 +62,8 @@ inline constexpr std::size_t kPriorityClasses = 3;
 
 /// Per-class counts/weights, indexed by static_cast<std::size_t>(Priority).
 using ClassWeights = std::array<std::size_t, kPriorityClasses>;
+/// Per-class queue-depth gauges (a nullptr entry is not published).
+using DepthGauges = std::array<obs::Gauge*, kPriorityClasses>;
 
 const char* priority_name(Priority p);
 
@@ -121,72 +123,6 @@ struct ProductResponse {
 
 using ProductFuture = std::shared_future<ProductResponse>;
 
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  /// Blocking push; returns false iff the queue was closed.
-  bool push(T item) {
-    util::MutexLock lock(mutex_);
-    // Explicit wait loops throughout (not predicate lambdas): the
-    // thread-safety analysis only sees guarded reads under the held lock.
-    while (!closed_ && items_.size() >= capacity_) space_cv_.wait(lock);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T item) {
-    {
-      util::MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Blocking pop; empty optional once closed and drained.
-  std::optional<T> pop() {
-    util::MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) item_cv_.wait(lock);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return item;
-  }
-
-  void close() {
-    {
-      util::MutexLock lock(mutex_);
-      closed_ = true;
-    }
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
-  std::size_t size() const {
-    util::MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable util::Mutex mutex_;
-  util::CondVar item_cv_;   ///< signaled on push/close
-  util::CondVar space_cv_;  ///< signaled on pop/close
-  std::deque<T> items_ GUARDED_BY(mutex_);
-  bool closed_ GUARDED_BY(mutex_) = false;
-};
-
 /// Bounded MPMC queue with one FIFO lane per `Priority`, a shared total
 /// capacity, weighted-round-robin dequeue and class-aware displacement.
 /// Thread-safe; push() blocks, everything else does not.
@@ -199,15 +135,20 @@ class PriorityQueue {
   /// (work-conserving: an empty class forfeits its turns, and a zero weight
   /// only defers a non-empty class until every other class is empty or out
   /// of credit).
-  explicit PriorityQueue(std::size_t capacity, Weights weights = {8, 3, 1})
-      : capacity_(capacity ? capacity : 1), weights_(weights), credits_(weights) {}
+  explicit PriorityQueue(std::size_t capacity, Weights weights = {8, 3, 1},
+                         DepthGauges depth = {})
+      : capacity_(capacity ? capacity : 1), weights_(weights), depth_(depth),
+        credits_(weights) {}
 
   /// Blocking push; waits for total space. Returns false iff closed.
   bool push(T item, Priority cls) {
     util::MutexLock lock(mutex_);
+    // Explicit wait loops throughout (not predicate lambdas): the
+    // thread-safety analysis only sees guarded reads under the held lock.
     while (!closed_ && total_locked() >= capacity_) space_cv_.wait(lock);
     if (closed_) return false;
     lane(cls).push_back(std::move(item));
+    publish_depth_locked(cls);
     lock.unlock();
     item_cv_.notify_one();
     return true;
@@ -235,8 +176,10 @@ class PriorityQueue {
       if (shed == kPriorityClasses) return false;
       if (victim) victim->emplace(std::move(items_[shed].back()), static_cast<Priority>(shed));
       items_[shed].pop_back();
+      publish_depth_locked(static_cast<Priority>(shed));
     }
     lane(cls).push_back(std::move(item));
+    publish_depth_locked(cls);
     lock.unlock();
     item_cv_.notify_one();
     return true;
@@ -252,6 +195,8 @@ class PriorityQueue {
       if (it == dq.end()) continue;
       dq.erase(it);
       lane(to).push_back(item);
+      publish_depth_locked(static_cast<Priority>(c));
+      publish_depth_locked(to);
       return true;
     }
     return false;
@@ -285,6 +230,7 @@ class PriorityQueue {
     if (credits_[pick] > 0) --credits_[pick];
     std::pair<T, Priority> out{std::move(items_[pick].front()), static_cast<Priority>(pick)};
     items_[pick].pop_front();
+    publish_depth_locked(out.second);
     lock.unlock();
     space_cv_.notify_one();
     return out;
@@ -320,9 +266,15 @@ class PriorityQueue {
     for (const auto& dq : items_) n += dq.size();
     return n;
   }
+  /// Under the lock, so the last value set is the lane's current depth.
+  void publish_depth_locked(Priority cls) REQUIRES(mutex_) {
+    const auto c = static_cast<std::size_t>(cls);
+    if (depth_[c]) depth_[c]->set(static_cast<double>(items_[c].size()));
+  }
 
   const std::size_t capacity_;
   const Weights weights_;
+  const DepthGauges depth_;
   mutable util::Mutex mutex_;
   util::CondVar item_cv_;   ///< signaled on push/close
   util::CondVar space_cv_;  ///< signaled on pop/close
@@ -331,10 +283,10 @@ class PriorityQueue {
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 
-/// Scheduler counters, as a value snapshot. Since the obs migration this is
-/// assembled from registry-backed instruments (`is2_sched_*` counters with
-/// per-class labels) by stats() — the struct shape is preserved for tests
-/// and benches, and the same numbers flow through `obs::to_prometheus`.
+/// Scheduler counters, as a value snapshot read from the registry-backed
+/// `is2_sched_*` instruments (counters with per-class labels, the queue
+/// depth and in-flight gauges) by stats() — the same numbers flow through
+/// `obs::to_prometheus`.
 struct SchedulerStats {
   std::uint64_t dispatched = 0;  ///< build jobs accepted into the queue
   std::uint64_t coalesced = 0;   ///< requests attached to an in-flight build
@@ -370,9 +322,8 @@ class BatchScheduler {
     /// displacement actually shape) and the queue-wait share of it. Runs
     /// on a worker thread.
     std::function<void(Priority, double service_ms, double queue_wait_ms)> on_served;
-    /// Registry the scheduler registers its `is2_sched_*` instruments in;
-    /// nullptr = the scheduler owns a private registry (stats() works the
-    /// same either way).
+    /// Registry the scheduler counts its `is2_sched_*` instruments into;
+    /// nullptr = a private registry (stats() works the same either way).
     obs::Registry* registry = nullptr;
     /// Tracer that mints one TraceContext per dispatched job and receives
     /// coalesce/displacement instant events; nullptr = tracing off.
@@ -424,10 +375,26 @@ class BatchScheduler {
 
   JobPtr make_job(const ProductRequest& request, const ProductKey& key) const;
   void drain_loop();
-  obs::Labels class_labels(Priority cls) const;
+  /// Publish inflight_.size() to the in-flight gauge.
+  void set_in_flight_locked() REQUIRES(mutex_);
 
   Config config_;
   Builder builder_;
+
+  /// Counters and gauges live in the registry (monotonic, lock-free
+  /// increments at the event; read back by stats() and exported by
+  /// obs::to_prometheus). Owned registry only when Config::registry was
+  /// null. Declared before queue_, which publishes into the depth gauges.
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry& registry_;
+  std::array<obs::Counter*, kPriorityClasses> dispatched_total_{};
+  std::array<obs::Counter*, kPriorityClasses> coalesced_total_{};
+  std::array<obs::Counter*, kPriorityClasses> rejected_total_{};
+  std::array<obs::Counter*, kPriorityClasses> displaced_total_{};
+  std::array<obs::Counter*, kPriorityClasses> deadline_expired_total_{};
+  obs::Counter* completed_total_ = nullptr;
+  obs::Gauge* in_flight_gauge_ = nullptr;
+
   PriorityQueue<JobPtr> queue_;
 
   /// Also guards Job::cls of every in-flight job (a cross-object contract
@@ -435,20 +402,6 @@ class BatchScheduler {
   mutable util::Mutex mutex_;
   std::unordered_map<ProductKey, JobPtr, ProductKeyHash> inflight_ GUARDED_BY(mutex_);
   bool shut_down_ GUARDED_BY(mutex_) = false;
-
-  /// Counters live in the registry (monotonic, lock-free increments; read
-  /// back by stats() and exported by obs::to_prometheus). Owned registry
-  /// only when Config::registry was null.
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_ = nullptr;
-  std::array<obs::Counter*, kPriorityClasses> dispatched_total_{};
-  std::array<obs::Counter*, kPriorityClasses> coalesced_total_{};
-  std::array<obs::Counter*, kPriorityClasses> rejected_total_{};
-  std::array<obs::Counter*, kPriorityClasses> displaced_total_{};
-  std::array<obs::Counter*, kPriorityClasses> deadline_expired_total_{};
-  obs::Counter* completed_total_ = nullptr;
-  std::array<obs::Gauge*, kPriorityClasses> queue_depth_gauge_{};
-  obs::Gauge* in_flight_gauge_ = nullptr;
 
   util::ThreadPool pool_;
   std::vector<std::future<void>> drains_;

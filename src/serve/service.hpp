@@ -26,11 +26,13 @@
 // the build's caller never waits for disk. A coalescing `BatchScheduler`
 // makes cold keys single-flight, applies queue backpressure, and admits by
 // `Priority` class (weighted dequeue; background shed first under
-// saturation). Every stage is latency-instrumented (util::Timer ->
-// util::RunningStats + util::Histogram), end-to-end service latency is
-// additionally split per priority class, and everything lands in one
-// `ServiceMetrics` snapshot. `warm()` bulk-prefetches products onto a
-// `mapred::Engine`, the same cluster abstraction the batch jobs use.
+// saturation). Every count and latency — this service's, the cache tiers',
+// the scheduler's and the nn backend's — is recorded at the event into the
+// service's one `obs::Registry`: each pipeline stage that ran, the
+// serve-side load/disk_load/total spans, and end-to-end service latency
+// split per priority class. `metrics()` and `obs_snapshot()` only read it.
+// `warm()` bulk-prefetches products onto a `mapred::Engine`, the same
+// cluster abstraction the batch jobs use.
 //
 // Threading contract: every public method is thread-safe. submit() blocks
 // only while the scheduler queue is full; try_submit() never blocks;
@@ -102,9 +104,8 @@ class ShardIndex {
   std::map<std::pair<std::string, int>, std::vector<std::string>> beams_;
 };
 
-// `StageLatency`, `ClassMetrics` and `ServiceMetrics` moved to
-// serve/node.hpp with the NodeHandle extraction — they are part of the node
-// surface the cluster router aggregates, not service internals.
+// `ClassMetrics` and `ServiceMetrics` live in serve/node.hpp: they are part
+// of the node surface the cluster router aggregates, not service internals.
 
 struct ServiceConfig {
   std::size_t workers = 4;            ///< scheduler worker threads / model replicas
@@ -181,16 +182,15 @@ class GranuleService : public NodeHandle {
   ServiceMetrics metrics() const override;
 
   /// The service's instrument registry (every `is2_serve_*`, `is2_sched_*`
-  /// and `is2_cache_*` metric of this instance lives here — feed it to
-  /// `obs::to_prometheus` / `obs::to_json`). Valid for the service lifetime.
+  /// and `is2_cache_*` metric of this instance lives here, always current —
+  /// feed it to `obs::to_prometheus` / `obs::to_json`). Valid for the
+  /// service lifetime.
   const obs::Registry& registry() const { return registry_; }
   /// The service's span ring (feed `trace_spans()` to `obs::to_perfetto`).
   const obs::Tracer& tracer() const { return tracer_; }
 
-  /// Registry snapshot with every lazily-synced instrument refreshed first
-  /// (cache tiers, scheduler gauges, inference totals) — what an exposition
-  /// endpoint should serve.
-  obs::RegistrySnapshot obs_snapshot() const override;
+  /// `registry().snapshot()` — what an exposition endpoint should serve.
+  obs::RegistrySnapshot obs_snapshot() const override { return registry_.snapshot(); }
 
   /// Peer-fetch surface (NodeHandle): speculative RAM-tier probe / insert,
   /// no hit-miss accounting — the cluster moves products across nodes with
@@ -247,23 +247,14 @@ class GranuleService : public NodeHandle {
   obs::Counter* fast_hits_total_ = nullptr;
   obs::Counter* writeback_failures_total_ = nullptr;
   obs::Counter* resumed_builds_total_ = nullptr;
+  /// is2_serve_stage_ms by pipeline StageId, plus the serve-side spans.
+  std::array<obs::HistogramMetric*, pipeline::kNumStages> stage_ms_{};
   obs::HistogramMetric* stage_load_ = nullptr;
-  obs::HistogramMetric* stage_features_ = nullptr;
-  obs::HistogramMetric* stage_inference_ = nullptr;
-  obs::HistogramMetric* stage_seasurface_ = nullptr;
-  obs::HistogramMetric* stage_freeboard_ = nullptr;
   obs::HistogramMetric* stage_disk_load_ = nullptr;
   obs::HistogramMetric* stage_total_ = nullptr;
   obs::HistogramMetric* queue_wait_hist_ = nullptr;
   obs::HistogramMetric* service_time_hist_ = nullptr;
   std::array<obs::HistogramMetric*, kPriorityClasses> class_service_{};
-  obs::Counter* inference_batches_total_ = nullptr;
-  obs::Counter* inference_windows_total_ = nullptr;
-  /// Serializes the lazy inference-counter sync in obs_snapshot() (two
-  /// concurrent snapshots must not double-count one delta).
-  mutable util::Mutex obs_sync_mutex_;
-  mutable std::uint64_t exported_batches_ GUARDED_BY(obs_sync_mutex_) = 0;
-  mutable std::uint64_t exported_windows_ GUARDED_BY(obs_sync_mutex_) = 0;
 
   pipeline::ProductBuilder builder_;  ///< the one pipeline implementation
   /// Classifier backends, selected per request. The nn backend owns the

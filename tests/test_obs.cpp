@@ -1,11 +1,11 @@
 // Observability subsystem tests: registry instrument exactness under
-// concurrency, HistogramMetric/StageLatency bit-identity, trace-ring
+// concurrency, histogram snapshot consistency, trace-ring
 // overflow and seqlock tearing resistance, tail-based sampling, coalesced
 // requests sharing one trace id, the Prometheus exposition format (linted
 // in-process, the same rules tools/check_prometheus.py enforces in CI), a
 // structural check of the Perfetto export for one cold freeboard build
 // (root + queue_wait + all seven pipeline stage spans, correctly nested),
-// StageLatency percentile estimates vs exact order statistics, and the
+// obs::Latency percentile estimates vs exact order statistics, and the
 // util::logf sink/prefix contract.
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/stage.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service.hpp"
 #include "util/logging.hpp"
@@ -51,12 +50,6 @@ using serve::ProductResponse;
 // ---------------------------------------------------------------------------
 // Instruments + Registry
 // ---------------------------------------------------------------------------
-
-// The bit-identity contract between HistogramMetric and StageLatency starts
-// with identical binning constants; a drift here is a compile error.
-static_assert(HistogramMetric::kMinMs == pipeline::StageLatency::kMinMs);
-static_assert(HistogramMetric::kMaxMs == pipeline::StageLatency::kMaxMs);
-static_assert(HistogramMetric::kBinsPerDecade == pipeline::StageLatency::kBinsPerDecade);
 
 TEST(ObsRegistry, ConcurrentCounterIncrementsAreExact) {
   Registry reg;
@@ -107,27 +100,6 @@ TEST(ObsRegistry, SnapshotIsSortedByNameThenLabels) {
   }
 }
 
-TEST(ObsInstruments, HistogramMatchesStageLatencyBitForBit) {
-  HistogramMetric metric;
-  pipeline::StageLatency lat;
-  util::Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    // Cover both clamp edges and five decades in between.
-    const double ms = std::pow(10.0, rng.uniform(-3.0, 6.0));
-    metric.observe(ms);
-    lat.add(ms);
-  }
-  const HistogramMetric::Snapshot snap = metric.snapshot();
-  EXPECT_EQ(snap.stats.count(), lat.stats.count());
-  EXPECT_EQ(snap.stats.sum(), lat.stats.sum());    // bitwise: same add order
-  EXPECT_EQ(snap.stats.mean(), lat.stats.mean());
-  EXPECT_EQ(snap.stats.min(), lat.stats.min());
-  EXPECT_EQ(snap.stats.max(), lat.stats.max());
-  ASSERT_EQ(snap.histogram.bins(), lat.histogram.bins());
-  for (std::size_t b = 0; b < lat.histogram.bins(); ++b)
-    EXPECT_EQ(snap.histogram.count(b), lat.histogram.count(b)) << "bin " << b;
-}
-
 TEST(ObsInstruments, HistogramSnapshotIsInternallyConsistent) {
   HistogramMetric metric;
   std::atomic<bool> stop{false};
@@ -140,7 +112,7 @@ TEST(ObsInstruments, HistogramSnapshotIsInternallyConsistent) {
   // A snapshot must never observe the stats and the histogram out of step,
   // no matter when it lands relative to the writers.
   for (int i = 0; i < 200; ++i) {
-    const HistogramMetric::Snapshot snap = metric.snapshot();
+    const obs::Latency snap = metric.snapshot();
     EXPECT_EQ(snap.stats.count(), snap.histogram.total());
   }
   stop = true;
@@ -275,20 +247,20 @@ TEST(ObsScheduler, CoalescedRequestsShareTraceId) {
 }
 
 // ---------------------------------------------------------------------------
-// StageLatency percentiles
+// obs::Latency percentiles
 // ---------------------------------------------------------------------------
 
-TEST(StageLatencyPercentiles, DegenerateDistributionIsExact) {
-  pipeline::StageLatency lat;
+TEST(LatencyPercentiles, DegenerateDistributionIsExact) {
+  obs::Latency lat;
   for (int i = 0; i < 100; ++i) lat.add(5.0);
   // The min/max clamp collapses the bin-resolution error entirely here.
   EXPECT_DOUBLE_EQ(lat.p50_ms(), 5.0);
   EXPECT_DOUBLE_EQ(lat.p99_ms(), 5.0);
-  EXPECT_EQ(pipeline::StageLatency{}.p99_ms(), 0.0);  // no samples
+  EXPECT_EQ(obs::Latency{}.p99_ms(), 0.0);  // no samples
 }
 
-TEST(StageLatencyPercentiles, TracksExactOrderStatisticsWithinBinResolution) {
-  pipeline::StageLatency lat;
+TEST(LatencyPercentiles, TracksExactOrderStatisticsWithinBinResolution) {
+  obs::Latency lat;
   std::vector<double> values;
   util::Rng rng(42);
   for (int i = 0; i < 2000; ++i) {

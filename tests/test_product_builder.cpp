@@ -389,23 +389,4 @@ TEST_F(BuilderCampaign, ResumeRejectsNonParallelClasses) {
   EXPECT_NO_THROW(Artifacts::resume(segments));
 }
 
-TEST_F(BuilderCampaign, BuilderMetricsAggregateTraces) {
-  // A fresh builder (metrics isolated from the shared fixture one).
-  ProductBuilder builder(*config_, campaign_->corrections());
-  pipeline::NnBackend backend = make_nn_backend();
-
-  Artifacts a = gt1r_artifacts();
-  builder.build(a, ProductKind::freeboard, &backend, seasurface::Method::NasaEquation);
-  Artifacts b = Artifacts::resume(a.segments, a.classes);
-  builder.build(b, ProductKind::freeboard, nullptr, seasurface::Method::NasaEquation);
-
-  EXPECT_EQ(builder.metrics().builds(), 2u);
-  const pipeline::StageSnapshot stages = builder.metrics().stages();
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::preprocess)].stats.count(), 1u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::classify)].stats.count(), 1u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::seasurface)].stats.count(), 2u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::freeboard)].stats.count(), 2u);
-  EXPECT_EQ(builder.metrics().build().stats.count(), 2u);
-}
-
 }  // namespace

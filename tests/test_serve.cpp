@@ -1,12 +1,14 @@
 // Serving subsystem tests: LRU product cache eviction/counters, the disk
 // cache tier (round-trip bit-identity, crash safety on corrupt/truncated/
 // stale files, byte-budget eviction, manifest rebuild across restarts),
-// bounded + priority queue semantics (weighted dequeue, class-aware
-// displacement), request coalescing and backpressure in the scheduler,
-// priority-ordered shedding under saturation, cache-hit serving without
+// priority queue semantics (weighted dequeue, class-aware displacement,
+// blocking push, depth gauges), request coalescing and backpressure in the
+// scheduler, priority-ordered shedding under saturation, cache-hit serving without
 // re-dispatch, bulk warm-up via mapred::Engine, concurrent mixed hit/miss
 // traffic, and bit-identity of served products with the batch pipeline
-// across all three serve paths (RAM hit / disk hit / rebuild).
+// across all three serve paths (RAM hit / disk hit / rebuild), and the
+// one-store rule: registry counters are exact without any view call and
+// never decrease while views are read.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -38,7 +41,6 @@ namespace {
 using namespace is2;
 using atl03::BeamId;
 using atl03::SurfaceClass;
-using serve::BoundedQueue;
 using serve::DiskCache;
 using serve::GranuleProduct;
 using serve::Priority;
@@ -418,47 +420,6 @@ TEST_F(DiskCacheTest, StartupScanDropsPartialAndStaleFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundedQueue
-// ---------------------------------------------------------------------------
-
-TEST(BoundedQueue, FifoTryPushAndClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_EQ(q.size(), 2u);
-
-  auto a = q.pop();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 1);
-  EXPECT_TRUE(q.try_push(3));
-
-  q.close();
-  EXPECT_FALSE(q.try_push(4));
-  EXPECT_FALSE(q.push(4));
-  // Drains accepted items, then reports closed.
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_EQ(*q.pop(), 3);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, BlockingPushResumesAfterPop) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.push(2);  // blocks until the pop below
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(*q.pop(), 1);
-  t.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(*q.pop(), 2);
-}
-
-// ---------------------------------------------------------------------------
 // PriorityQueue
 // ---------------------------------------------------------------------------
 
@@ -528,6 +489,51 @@ TEST(PriorityQueue, PromoteMovesQueuedItemToHigherClass) {
   EXPECT_EQ(q.pop()->first, 1);
   // Absent (already popped) items cannot be promoted.
   EXPECT_FALSE(q.promote(1, Priority::interactive));
+}
+
+TEST(PriorityQueue, BlockingPushWaitsForSpaceOrClose) {
+  // Depth gauges follow every lane change, under the queue lock.
+  obs::Registry reg;
+  serve::DepthGauges depth{};
+  for (std::size_t c = 0; c < serve::kPriorityClasses; ++c)
+    depth[c] = &reg.gauge("is2_test_depth", {{"class", std::to_string(c)}});
+  const auto depth_of = [&](Priority cls) {
+    return depth[static_cast<std::size_t>(cls)]->value();
+  };
+  serve::PriorityQueue<int> q(1, {8, 3, 1}, depth);
+
+  // A blocking push resumes after a pop makes room.
+  ASSERT_TRUE(q.push(1, Priority::batch));
+  EXPECT_EQ(depth_of(Priority::batch), 1.0);
+  std::atomic<bool> pushed{false};
+  std::thread resumed([&] {
+    EXPECT_TRUE(q.push(2, Priority::background));  // blocks until the pop below
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(q.pop()->first, 1);
+  resumed.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(depth_of(Priority::batch), 0.0);
+  EXPECT_EQ(depth_of(Priority::background), 1.0);
+
+  // close() wakes a push blocked on the full queue, which then fails.
+  std::atomic<bool> returned{false};
+  std::thread woken([&] {
+    EXPECT_FALSE(q.push(3, Priority::interactive));
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  q.close();
+  woken.join();
+  EXPECT_TRUE(returned.load());
+  // Accepted items still drain after close().
+  EXPECT_EQ(q.pop()->first, 2);
+  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(depth_of(Priority::background), 0.0);
+  EXPECT_EQ(depth_of(Priority::interactive), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,7 +1020,7 @@ TEST_F(ServeCampaign, ColdBuildLatencyRepresentableInStageHistograms) {
     if (stage->stats.count() == 0) continue;
     // p99 (here: the max) is representable, and the edge bins did not
     // swallow the distribution.
-    EXPECT_LT(stage->stats.max(), serve::StageLatency::kMaxMs);
+    EXPECT_LT(stage->stats.max(), obs::Latency::kMaxMs);
     EXPECT_EQ(stage->histogram.count(stage->histogram.bins() - 1), 0u);
     EXPECT_EQ(stage->histogram.total(), stage->stats.count());
   }
@@ -1327,6 +1333,17 @@ TEST_F(ServeCampaign, DeeperKindResumesFromShallowerRamEntry) {
   EXPECT_EQ(m2.resumed_builds, 1u);
   EXPECT_EQ(m2.inference_windows, windows_after_cls);  // no inference re-ran
   EXPECT_EQ(m2.load.stats.count(), 1u);                // only the cls build loaded
+  // Per-stage samples: the classification build ran preprocess..classify;
+  // the resumed freeboard build added seasurface and freeboard only.
+  for (std::size_t i = 0; i < pipeline::kNumStages; ++i) {
+    const auto id = static_cast<pipeline::StageId>(i);
+    const bool resumed_stage =
+        id == pipeline::StageId::seasurface || id == pipeline::StageId::freeboard;
+    EXPECT_EQ(m1.builder[i].stats.count(), resumed_stage ? 0u : 1u) << pipeline::stage_name(id);
+    EXPECT_EQ(m2.builder[i].stats.count() - m1.builder[i].stats.count(),
+              resumed_stage ? 1u : 0u)
+        << pipeline::stage_name(id);
+  }
 
   // Bit-identical to the batch pipeline's full freeboard product.
   expect_bit_identical(*fb.product,
@@ -1451,6 +1468,92 @@ TEST_F(ServeCampaign, OldKeyLayoutDiskFileIsRejectedAfterFormatBump) {
   EXPECT_EQ(response.source, ServedFrom::build);  // rebuilt, never served stale
   expect_bit_identical(*response.product,
                        batch_reference(BeamId::Gt3r, seasurface::Method::NasaEquation));
+}
+
+/// Value of one counter/gauge series in a registry snapshot (-1 = absent).
+double series_value(const obs::RegistrySnapshot& snap, const std::string& name,
+                    const obs::Labels& labels = {}) {
+  for (const auto& p : snap.points)
+    if (p.name == name && p.labels == labels) return p.value;
+  return -1.0;
+}
+
+TEST_F(ServeCampaign, RegistryIsLiveWithoutAnyViewCall) {
+  // Every count is recorded at its event, so the registry is exact the
+  // moment traffic stops — no stats()/metrics()/obs_snapshot() call first.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.disk_cache_dir = dir_ + "/live_registry";
+  std::filesystem::remove_all(cfg.disk_cache_dir);
+  auto service = make_service(cfg);
+  const ProductRequest r = request(BeamId::Gt2r);
+  ASSERT_NE(service->submit(r).get().product, nullptr);  // cold build
+  constexpr int kHits = 5;
+  for (int i = 0; i < kHits; ++i) EXPECT_EQ(service->submit(r).get().source, ServedFrom::ram);
+  service->wait_disk_writebacks();
+
+  const obs::RegistrySnapshot snap = service->registry().snapshot();
+  const obs::Labels ram{{"tier", "ram"}}, disk{{"tier", "disk"}};
+  EXPECT_EQ(series_value(snap, "is2_cache_hits_total", ram), kHits);
+  EXPECT_EQ(series_value(snap, "is2_cache_insertions_total", ram), 1.0);
+  EXPECT_EQ(series_value(snap, "is2_cache_entries", ram), 1.0);
+  EXPECT_GT(series_value(snap, "is2_cache_bytes", ram), 0.0);
+  EXPECT_EQ(series_value(snap, "is2_cache_writes_total", disk), 1.0);
+  EXPECT_EQ(series_value(snap, "is2_cache_entries", disk), 1.0);
+  EXPECT_EQ(series_value(snap, "is2_sched_in_flight"), 0.0);
+  const double windows = series_value(snap, "is2_serve_inference_windows_total");
+  EXPECT_GT(windows, 0.0);
+  EXPECT_GT(series_value(snap, "is2_serve_inference_batches_total"), 0.0);
+
+  // The views read the same instruments.
+  const auto m = service->metrics();
+  EXPECT_EQ(m.cache.hits, static_cast<std::uint64_t>(kHits));
+  EXPECT_EQ(m.disk.writes, 1u);
+  EXPECT_EQ(static_cast<double>(m.inference_windows), windows);
+}
+
+TEST_F(ServeCampaign, CountersNeverDecreaseWhileViewsAreRead) {
+  // Two readers call the views (metrics(), obs_snapshot()) during RAM-hit
+  // traffic; each checks its own successive snapshots, in which no
+  // `is2_*_total` counter may ever be lower than before.
+  serve::ServiceConfig cfg;
+  cfg.workers = 2;
+  auto service = make_service(cfg);
+  std::vector<ProductRequest> hot;
+  for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r, BeamId::Gt3r}) {
+    hot.push_back(request(beam));
+    ASSERT_NE(service->submit(hot.back()).get().product, nullptr);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> decreases{0}, snapshots{0};
+  const auto reader = [&](bool via_metrics) {
+    std::map<std::pair<std::string, obs::Labels>, double> last;
+    while (!stop.load()) {
+      if (via_metrics) (void)service->metrics();
+      const obs::RegistrySnapshot snap =
+          via_metrics ? service->registry().snapshot() : service->obs_snapshot();
+      for (const auto& p : snap.points) {
+        if (p.type != obs::MetricType::counter) continue;
+        const auto [it, fresh] = last.try_emplace({p.name, p.labels}, p.value);
+        if (!fresh && p.value < it->second) decreases.fetch_add(1);
+        it->second = p.value;
+      }
+      snapshots.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader, true);
+  threads.emplace_back(reader, false);
+  for (std::size_t c = 0; c < 2; ++c)
+    threads.emplace_back([&, c] {
+      for (std::size_t i = c; !stop.load(); ++i) (void)service->submit(hot[i % hot.size()]).get();
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  stop = true;
+  for (auto& t : threads) t.join();
+  EXPECT_GT(snapshots.load(), 2u);
+  EXPECT_EQ(decreases.load(), 0u);
 }
 
 TEST_F(ServeCampaign, UnknownGranuleYieldsBrokenFuture) {

@@ -5,7 +5,7 @@ Usage:
     lint_invariants.py [--root DIR]    # lint the tree (default: repo root)
     lint_invariants.py --self-test     # prove every rule actually fires
 
-Five rules, each a contract stated in the docs that previously lived only
+Six rules, each a contract stated in the docs that previously lived only
 in review discipline:
 
   R1  obs metric names at Registry call sites are Prometheus-valid
@@ -38,8 +38,15 @@ in review discipline:
       single-threaded and parallelism lives in the task layer
       (docs/performance.md, "Threading model").
 
+  R6  no registry counter in src/ is bumped by a computed difference
+      (`->inc(a - b)` / `.inc(a - b)`): that is the delta-sync signature of
+      a private counter copied into the registry after the fact, which
+      lags and, with two concurrent syncs, wraps the counter backwards.
+      Counters are bumped at the event (docs/observability.md, "One
+      store").
+
 `--self-test` copies a minimal tree into a tempdir, seeds one violation per
-rule, and asserts the linter exits nonzero having caught all five — CI runs
+rule, and asserts the linter exits nonzero having caught all six — CI runs
 this before the real lint so a silently-broken rule cannot pass the tree.
 
 Exit status: 0 clean, 1 on any violation (all violations are printed),
@@ -69,6 +76,11 @@ OMP = "omp"
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+" + OMP + r"\b(?!\s+simd\b)")
 OMP_INCLUDE_RE = re.compile(r"#\s*include\s*[<\"]" + OMP + r"\.h[>\"]")
 OMP_CALL_RE = re.compile(r"\b" + OMP + r"_\w+\s*\(")
+
+# R6: a counter increment call; its argument is matched up to the closing
+# paren, and a binary minus in it (not `->`, not `--`) is a delta.
+COUNTER_INC_RE = re.compile(r"(?:->|\.)\s*inc\s*\(")
+BINARY_MINUS_RE = re.compile(r"[\w)\]]\s*-(?![->=])\s*[\w(]")
 
 CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
@@ -230,6 +242,37 @@ def check_r5_openmp(root: str):
     return violations
 
 
+def call_argument(text: str, open_paren: int) -> str:
+    """The text between the paren at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren + 1:i]
+    return text[open_paren + 1:]
+
+
+def check_r6_counter_deltas(root: str):
+    """R6: counters are bumped at the event, never by a synced difference."""
+    violations = []
+    for path in iter_files(root, ("src",)):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            code = strip_comments_and_strings(f.read())
+        for m in COUNTER_INC_RE.finditer(code):
+            arg = call_argument(code, m.end() - 1)
+            if BINARY_MINUS_RE.search(arg):
+                lineno = code.count("\n", 0, m.start()) + 1
+                violations.append(
+                    f"R6 {rel(root, path)}:{lineno}: counter bumped by a difference "
+                    f"(inc({' '.join(arg.split())})) — count at the event instead of "
+                    f"delta-syncing a private copy (docs/observability.md)"
+                )
+    return violations
+
+
 def run_lint(root: str) -> int:
     violations = []
     violations += check_r1_metric_names(root)
@@ -237,6 +280,7 @@ def run_lint(root: str) -> int:
     violations += check_r3_threading_contracts(root)
     violations += check_r4_naked_primitives(root)
     violations += check_r5_openmp(root)
+    violations += check_r6_counter_deltas(root)
     for v in violations:
         print(v)
     if violations:
@@ -247,7 +291,7 @@ def run_lint(root: str) -> int:
 
 
 def self_test() -> int:
-    """Seed one violation per rule in a scratch tree; all five must fire."""
+    """Seed one violation per rule in a scratch tree; all six must fire."""
     with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
         os.makedirs(os.path.join(tmp, "src", "serve"))
         os.makedirs(os.path.join(tmp, "src", "util"))
@@ -288,6 +332,19 @@ def self_test() -> int:
                 "  for (int i = 0; i < n; ++i) v[i] += 1'000.0f;\n"
                 "}\n"
             )
+        # R6: a counter bumped by a synced difference (line 4). Controls: an
+        # event increment, a gauge moved by a delta, an arrow inside the
+        # argument and a commented-out delta must NOT fire.
+        with open(os.path.join(tmp, "src", "serve", "tier.cpp"), "w") as f:
+            f.write(
+                "void on_hit(Tier& t, const Totals& now) {\n"
+                "  t.hits->inc();\n"
+                "  t.bytes->add(static_cast<double>(now.bytes) - t.seen_bytes);\n"
+                "  t.hits->inc(static_cast<std::uint64_t>(now.hits) - t.synced.hits);\n"
+                "  t.windows->inc(now.batch->size());\n"
+                "  // t.misses->inc(now.misses - t.synced.misses);\n"
+                "}\n"
+            )
 
         found = []
         found += check_r1_metric_names(tmp)
@@ -295,11 +352,12 @@ def self_test() -> int:
         found += check_r3_threading_contracts(tmp)
         found += check_r4_naked_primitives(tmp)
         found += check_r5_openmp(tmp)
+        found += check_r6_counter_deltas(tmp)
         for v in found:
             print(f"  seeded: {v}")
 
         fired = {v.split()[0] for v in found}
-        missing = {"R1", "R2", "R3", "R4", "R5"} - fired
+        missing = {"R1", "R2", "R3", "R4", "R5", "R6"} - fired
         if missing:
             print(f"self-test FAILED: rule(s) did not fire: {sorted(missing)}")
             return 1
@@ -310,6 +368,10 @@ def self_test() -> int:
         r5_hits = [v for v in found if v.startswith("R5")]
         if [v.split()[1] for v in r5_hits] != [os.path.join("src", "util", "kernel.cpp") + ":5:"]:
             print(f"self-test FAILED: R5 must fire on the parallel pragma only, got {r5_hits}")
+            return 1
+        r6_hits = [v for v in found if v.startswith("R6")]
+        if [v.split()[1] for v in r6_hits] != [os.path.join("src", "serve", "tier.cpp") + ":4:"]:
+            print(f"self-test FAILED: R6 must fire on the counter delta only, got {r6_hits}")
             return 1
         if run_lint_exit_nonzero(tmp) != 1:
             print("self-test FAILED: lint on a seeded tree must exit 1")
