@@ -1,14 +1,14 @@
 // Micro-benchmarks for the kernels the pipeline spends its time in — GEMM,
-// LSTM forward/backward, focal loss, ring all-reduce, projection, 2 m
-// resampling, h5lite (de)serialization — plus the distributed-training
-// substrate's headline numbers.
+// LSTM forward/backward, focal loss, ring all-reduce, projection, ATL03
+// preprocess, 2 m resampling, h5lite (de)serialization — plus the
+// distributed-training substrate's headline numbers.
 //
 //   ./bench/bench_micro_kernels [BENCH_dist.json]
 //
 // Self-timed (no external benchmark framework — CI builds with the repo's
 // toolchain only). With a path argument a machine-readable summary is
-// written for tools/bench_trend.py: the all-reduce GB/s sweep across buffer
-// sizes and rank counts, the table-4-style rank sweep of the synchronous
+// written for tools/bench_trend.py: preprocess_beam's ns per input photon,
+// the all-reduce GB/s sweep across buffer sizes and rank counts, the table-4-style rank sweep of the synchronous
 // trainer on a synthetic task (time per epoch, speedup, accuracy) and the
 // fig-5-style per-epoch curve points.
 //
@@ -123,6 +123,27 @@ void bench_projection() {
       },
       500);
   std::printf("polar stereo (1024 pts): forward %.4f ms  inverse %.4f ms\n", fwd_ms, inv_ms);
+}
+
+/// preprocess_beam on the test_preprocess fixture beam (Gt2r of a 6 km
+/// simulated track): mean ns per input photon.
+double bench_preprocess() {
+  const geo::GeoCorrections corrections{7};
+  atl03::SurfaceConfig scfg;
+  scfg.length_m = 6'000.0;
+  const geo::GroundTrack track{geo::PolarStereo::epsg3976().forward({-165.0, -75.5}), 0.3};
+  const atl03::SurfaceModel surface(scfg, track, corrections, 21);
+  const atl03::Granule granule = atl03::PhotonSimulator(atl03::InstrumentConfig{}, 22)
+                                     .simulate_granule(surface, "ATL03_PRE", 50.0,
+                                                       {atl03::BeamId::Gt2r});
+  const atl03::BeamData& beam = granule.beams[0];
+  const double ms = time_ms(
+      [&] { g_sink = static_cast<float>(atl03::preprocess_beam(granule, beam, corrections).size()); },
+      50);
+  const double ns_per_photon = ms * 1e6 / static_cast<double>(beam.size());
+  std::printf("preprocess_beam (%zu photons): %.3f ms  (%.1f ns/photon)\n", beam.size(), ms,
+              ns_per_photon);
+  return ns_per_photon;
 }
 
 struct SimFixture {
@@ -255,6 +276,7 @@ int main(int argc, char** argv) {
   bench_lstm_fb();
   bench_focal_loss();
   bench_projection();
+  const double preprocess_ns = bench_preprocess();
   {
     const SimFixture fx;
     bench_resample_and_h5(fx);
@@ -275,7 +297,7 @@ int main(int argc, char** argv) {
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     } else {
-      out << "{\n  \"allreduce\": [\n";
+      out << "{\n  \"preprocess_ns_per_photon\": " << preprocess_ns << ",\n  \"allreduce\": [\n";
       for (std::size_t i = 0; i < allreduce.size(); ++i) {
         const auto& p = allreduce[i];
         out << "    {\"ranks\": " << p.ranks << ", \"floats\": " << p.floats

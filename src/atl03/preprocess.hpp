@@ -3,6 +3,13 @@
 // geophysical height correction, interpolate per-photon background rates from
 // the bckgrd_atlas bins, and reject "ineffective reference photons" (outliers
 // far from the local surface) with a rolling-median filter.
+//
+// Projection and correction run per 20 m along-track geolocation cell, the
+// scale at which the ATL03 ATBD supplies corrections: each cell's first
+// photon is projected and corrected exactly, the rest by a local expansion
+// around it (within 1e-6 m in x/y and 1e-5 m in h of the exact values).
+// Photons with a non-finite along-track, lon, lat, h or delta_time are
+// dropped.
 #pragma once
 
 #include <cstdint>

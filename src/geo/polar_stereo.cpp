@@ -1,5 +1,6 @@
 #include "geo/polar_stereo.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -31,24 +32,59 @@ double PolarStereo::t_of_lat(double lat_rad) const {
          std::pow((1.0 - e_ * s) / (1.0 + e_ * s), e_ / 2.0);
 }
 
-Xy PolarStereo::forward(const LonLat& ll) const {
+void PolarStereo::polar(const LonLat& ll, double& phi, double& rho, double& dlam) const {
   const bool south = hemisphere_ == Hemisphere::South;
-  const double phi = deg2rad(south ? -ll.lat : ll.lat);
+  phi = deg2rad(south ? -ll.lat : ll.lat);
   const double lam = deg2rad(south ? -ll.lon : ll.lon);
   const double lam0 = south ? -lon0_rad_ : lon0_rad_;
   if (phi < 0.0)
     throw std::invalid_argument("PolarStereo::forward: point in the opposite hemisphere");
 
   const double t = t_of_lat(phi);
-  const double rho = Wgs84::a * m_c_ * t / t_c_;  // Snyder 21-34
-  const double dlam = lam - lam0;
+  rho = Wgs84::a * m_c_ * t / t_c_;  // Snyder 21-34
+  dlam = lam - lam0;
+}
+
+Xy PolarStereo::forward(const LonLat& ll) const {
+  double phi, rho, dlam;
+  polar(ll, phi, rho, dlam);
   double x = rho * std::sin(dlam);   // Snyder 21-30
   double y = -rho * std::cos(dlam);  // Snyder 21-31
-  if (south) {
+  if (hemisphere_ == Hemisphere::South) {
     x = -x;
     y = -y;
   }
   return {x, y};
+}
+
+PolarStereo::Local PolarStereo::local(const LonLat& anchor) const {
+  Local l;
+  double phi, dlam;
+  polar(anchor, phi, l.rho0_, dlam);
+  l.sin0_ = std::sin(dlam);
+  l.cos0_ = std::cos(dlam);
+  l.sign_ = hemisphere_ == Hemisphere::South ? -1.0 : 1.0;
+  l.anchor_ = anchor;
+
+  // rho = rho0 * t(phi) / t(phi0), and d ln t / d phi = g with
+  //   g  = -(1-e^2) / (cos phi (1 - e^2 sin^2 phi)),
+  //   g' = -(1-e^2) sin phi (1 - e^2 sin^2 phi + 2 e^2 cos^2 phi)
+  //          / (cos phi (1 - e^2 sin^2 phi))^2,
+  // so rho'' = rho (g^2 + g').
+  const double e2 = Wgs84::e2;
+  const double s = std::sin(phi);
+  const double c = std::cos(phi);
+  const double w = 1.0 - e2 * s * s;
+  const double d = c * w;
+  const double g = -(1.0 - e2) / d;
+  const double dg = -(1.0 - e2) * s * (w + 2.0 * e2 * c * c) / (d * d);
+  l.drho1_ = l.rho0_ * g;
+  l.drho2_ = 0.5 * l.rho0_ * (g * g + dg);
+  // The third-order remainder grows like (g dphi)^2 dphi; poleward of 88 deg
+  // the radius shrinks with cos phi so the bound holds up to the pole.
+  l.cos_phi0_ = c;
+  l.radius_ = Local::kRadius * std::min(1.0, c / kPolarCos);
+  return l;
 }
 
 LonLat PolarStereo::inverse(const Xy& xy) const {

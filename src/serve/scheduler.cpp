@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -233,26 +234,33 @@ void BatchScheduler::drain_loop() {
     // load, every pipeline stage) land in this trace, and log lines carry
     // the trace id.
     obs::TraceBinding bind(job->trace.active() ? &job->trace : nullptr);
+    ProductResponse response;
+    std::exception_ptr error;
     try {
-      ProductResponse response = builder_(job->request, job->key);
+      response = builder_(job->request, job->key);
       response.service_ms = job->enqueued.millis();
       response.queue_wait_ms = queue_wait_ms;
       response.trace_id = job->trace.trace_id();
-      const double service_ms = response.service_ms;
       job->trace.finish("request");
-      // Observe before resolving the future: a caller that .get()s and then
-      // reads metrics must see its own request in the latency histograms.
       if (config_.on_served)
-        config_.on_served(job->request.priority, service_ms, queue_wait_ms);
-      job->promise.set_value(std::move(response));
+        config_.on_served(job->request.priority, response.service_ms, queue_wait_ms);
     } catch (...) {
       job->trace.finish("request:error", /*force=*/true);
-      job->promise.set_exception(std::current_exception());
+      error = std::current_exception();
     }
-    util::MutexLock lock(mutex_);
-    inflight_.erase(job->key);
-    set_in_flight_locked();
-    completed_total_->inc();
+    {
+      // Retire the job before resolving its future: a caller that .get()s
+      // and then reads metrics must see its own request in the latency
+      // histograms and no longer in flight.
+      util::MutexLock lock(mutex_);
+      inflight_.erase(job->key);
+      set_in_flight_locked();
+      completed_total_->inc();
+    }
+    if (error)
+      job->promise.set_exception(error);
+    else
+      job->promise.set_value(std::move(response));
   }
 }
 

@@ -386,7 +386,9 @@ std::shared_ptr<const GranuleProduct> GranuleService::probe_shallower(
 }
 
 ProductResponse GranuleService::build(const ProductRequest& request, const ProductKey& key) {
-  if (auto hit = cache_.get(key)) return ProductResponse{std::move(hit), true, 0.0, ServedFrom::ram};
+  // peek(), not get(): submit()/try_submit() already counted this request's
+  // RAM lookup; the recheck only catches a product a concurrent job landed.
+  if (auto hit = cache_.peek(key)) return ProductResponse{std::move(hit), true, 0.0, ServedFrom::ram};
 
   util::Timer build_timer;
   util::Timer stage_timer;

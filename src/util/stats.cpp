@@ -66,17 +66,13 @@ double percentile(std::span<const double> xs, double p) {
   const auto lo = static_cast<std::size_t>(rank);
   const auto hi = std::min(lo + 1, v.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  // Two order-statistic selections instead of a full sort: after the first,
-  // everything past position lo is >= v[lo], so the second selection over
-  // the tail yields the hi-th order statistic.
+  // One order-statistic selection instead of a full sort: after it,
+  // everything past position lo is >= v[lo], so the hi = lo + 1-th order
+  // statistic is the tail's minimum.
   const auto mid = v.begin() + static_cast<std::ptrdiff_t>(lo);
   std::nth_element(v.begin(), mid, v.end());
   const double v_lo = v[lo];
-  double v_hi = v_lo;
-  if (hi != lo) {
-    std::nth_element(mid + 1, v.begin() + static_cast<std::ptrdiff_t>(hi), v.end());
-    v_hi = v[hi];
-  }
+  const double v_hi = hi != lo ? *std::min_element(mid + 1, v.end()) : v_lo;
   return v_lo * (1.0 - frac) + v_hi * frac;
 }
 

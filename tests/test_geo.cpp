@@ -2,7 +2,11 @@
 // round-trip property sweep over the Ross Sea (and wider Antarctic) grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <utility>
 
 #include "geo/corrections.hpp"
 #include "geo/polar_stereo.hpp"
@@ -96,6 +100,101 @@ TEST(PolarStereo, NorthVariantRoundTrips) {
   EXPECT_NEAR(back.lon, -45.0, 1e-9);
 }
 
+// ---------------------------------------------------------------------------
+// PolarStereo::local: the per-cell expansion preprocess_beam projects with.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// `anchor` moved `east_m` / `north_m` on a sphere of the Earth's mean
+/// radius (the test only needs offsets of the right size, not geodesics).
+LonLat offset_by(LonLat anchor, double east_m, double north_m) {
+  constexpr double r = 6'371'000.0;
+  return {anchor.lon + rad2deg(east_m / (r * std::cos(deg2rad(anchor.lat)))),
+          anchor.lat + rad2deg(north_m / r)};
+}
+
+/// Max |local(anchor).at(p) - forward(p)| over offsets up to +-30 m,
+/// requiring near() to hold for every one of them.
+double max_local_error(const PolarStereo& proj, LonLat anchor) {
+  const auto local = proj.local(anchor);
+  double worst = 0.0;
+  for (double east = -30.0; east <= 30.0; east += 7.5)
+    for (double north = -30.0; north <= 30.0; north += 7.5) {
+      const LonLat p = offset_by(anchor, east, north);
+      EXPECT_TRUE(local.near(p)) << east << " " << north;
+      const Xy got = local.at(p);
+      const Xy want = proj.forward(p);
+      worst = std::max({worst, std::abs(got.x - want.x), std::abs(got.y - want.y)});
+    }
+  return worst;
+}
+
+TEST(PolarStereoLocal, AnchorIsBitIdenticalToForward) {
+  for (const auto& [proj, sign] :
+       {std::pair{PolarStereo::epsg3976(), -1.0}, std::pair{PolarStereo::epsg3413(), 1.0}})
+    for (double lat : {60.0, 75.0, 85.0, 88.0})
+      for (double lon : {-179.9, -165.0, -45.0, 0.0, 33.3, 179.9}) {
+        const LonLat a{lon, sign * lat};
+        const Xy got = proj.local(a).at(a);
+        const Xy want = proj.forward(a);
+        EXPECT_TRUE(same_bits(got.x, want.x) && same_bits(got.y, want.y))
+            << "lon " << lon << " lat " << sign * lat;
+      }
+}
+
+TEST(PolarStereoLocal, WithinMicrometreOfForwardBothHemispheres) {
+  for (const auto& [proj, sign] :
+       {std::pair{PolarStereo::epsg3976(), -1.0}, std::pair{PolarStereo::epsg3413(), 1.0}})
+    for (double lat : {60.0, 75.0, 85.0})
+      for (double lon : {-165.0, -45.0, 0.0, 120.0}) {
+        const double err = max_local_error(proj, {lon, sign * lat});
+        EXPECT_LE(err, 1e-6) << "lon " << lon << " lat " << sign * lat;
+      }
+}
+
+TEST(PolarStereoLocal, OffsetsAcrossTheAntimeridian) {
+  const PolarStereo proj = PolarStereo::epsg3976();
+  // 20 m east of 179.99995 E lies past 180 and reads as a negative longitude.
+  const LonLat anchor{179.99995, -75.0};
+  LonLat p = offset_by(anchor, 20.0, 5.0);
+  ASSERT_GT(p.lon, 180.0);
+  p.lon -= 360.0;
+  const auto local = proj.local(anchor);
+  ASSERT_TRUE(local.near(p));
+  const Xy got = local.at(p);
+  const Xy want = proj.forward(p);
+  EXPECT_NEAR(got.x, want.x, 1e-6);
+  EXPECT_NEAR(got.y, want.y, 1e-6);
+}
+
+TEST(PolarStereoLocal, NearBoundsTheExpansionUpToThePole) {
+  const PolarStereo proj = PolarStereo::epsg3976();
+  for (double lat : {-75.0, -88.0, -89.0, -89.9, -89.999}) {
+    const LonLat anchor{-165.0, lat};
+    const auto local = proj.local(anchor);
+    std::size_t covered = 0;
+    double worst = 0.0;
+    for (double east = -60.0; east <= 60.0; east += 5.0)
+      for (double north = -60.0; north <= 60.0; north += 5.0) {
+        const LonLat p = offset_by(anchor, east, north);
+        if (p.lat < -90.0 || !local.near(p)) continue;
+        ++covered;
+        const Xy got = local.at(p);
+        const Xy want = proj.forward(p);
+        worst = std::max({worst, std::abs(got.x - want.x), std::abs(got.y - want.y)});
+      }
+    EXPECT_LE(worst, 1e-6) << "lat " << lat;
+    EXPECT_GE(covered, 1u) << "lat " << lat;  // the anchor itself at least
+  }
+  // Far points and the opposite hemisphere are never near.
+  const auto local = proj.local({-165.0, -75.0});
+  EXPECT_FALSE(local.near(offset_by({-165.0, -75.0}, 0.0, 100.0)));
+  EXPECT_FALSE(local.near(offset_by({-165.0, -75.0}, 100.0, 0.0)));
+  EXPECT_FALSE(local.near({-165.0, 75.0}));
+  EXPECT_THROW(proj.local({-165.0, 75.0}), std::invalid_argument);
+}
+
 TEST(Corrections, GeoidHasLargeOffsetAndSmallWaves) {
   const GeoidModel geoid(1);
   const double u0 = geoid.undulation(0.0, 0.0);
@@ -134,6 +233,51 @@ TEST(Corrections, TotalIsSumOfParts) {
   const double sum = gc.geoid().undulation(x, y) + gc.tide().tide(t, x, y) +
                      gc.inverted_barometer().correction(t, x, y);
   EXPECT_DOUBLE_EQ(total, sum);
+}
+
+TEST(CorrectionsLocal, AnchorValueIsBitIdenticalToTotal) {
+  const GeoCorrections gc(7);
+  for (double t : {0.0, 12'345.678, 3.2e7})
+    for (double x : {-1.2e6, 3.3e5})
+      for (double y : {-9.0e5, 1.7e6}) {
+        const double want = gc.total(t, x, y);
+        EXPECT_TRUE(same_bits(gc.local(t, x, y).at(t, x, y), want)) << t << " " << x << " " << y;
+      }
+}
+
+TEST(CorrectionsLocal, GradientMatchesCentralDifferences) {
+  // Central differences with 1 m / 1 s steps are accurate to ~1e-9
+  // relative for fields of >= 50 km wavelength and >= 12 h period; the
+  // expansion's partials must agree to 1e-6 of the gradient's magnitude.
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    const GeoCorrections gc(seed);
+    const double t = 54'321.0, x = -4.4e5, y = 1.9e6;
+    const auto local = gc.local(t, x, y);
+    const double d_dt = (gc.total(t + 1.0, x, y) - gc.total(t - 1.0, x, y)) / 2.0;
+    const double d_dx = (gc.total(t, x + 1.0, y) - gc.total(t, x - 1.0, y)) / 2.0;
+    const double d_dy = (gc.total(t, x, y + 1.0) - gc.total(t, x, y - 1.0)) / 2.0;
+    const double scale = std::hypot(d_dt, d_dx, d_dy);
+    ASSERT_GT(scale, 0.0);
+    // at() is linear, so unit offsets read the partials back.
+    const double v = local.at(t, x, y);
+    EXPECT_NEAR(local.at(t + 1.0, x, y) - v, d_dt, 1e-6 * scale) << "seed " << seed;
+    EXPECT_NEAR(local.at(t, x + 1.0, y) - v, d_dx, 1e-6 * scale) << "seed " << seed;
+    EXPECT_NEAR(local.at(t, x, y + 1.0) - v, d_dy, 1e-6 * scale) << "seed " << seed;
+  }
+}
+
+TEST(CorrectionsLocal, WithinTenMicrometresOverACell) {
+  // The documented bound: offsets up to 25 m and 1 s stay within 1e-5 m.
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    const GeoCorrections gc(seed);
+    const double t = 7'777.0, x = 2.0e5, y = -1.5e6;
+    const auto local = gc.local(t, x, y);
+    for (double dt : {-1.0, 0.0, 1.0})
+      for (double dx = -25.0; dx <= 25.0; dx += 12.5)
+        for (double dy = -25.0; dy <= 25.0; dy += 12.5)
+          EXPECT_NEAR(local.at(t + dt, x + dx, y + dy), gc.total(t + dt, x + dx, y + dy), 1e-5)
+              << "seed " << seed;
+  }
 }
 
 TEST(GroundTrack, AlongAndCrossTrackDecomposition) {

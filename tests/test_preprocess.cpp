@@ -1,10 +1,12 @@
 // Preprocessing tests: confidence filtering, geophysical correction,
-// outlier rejection, along-track ordering, and bitwise equality with a
-// reference copy of the original two-pass algorithm.
+// outlier rejection, along-track ordering, and agreement with a reference
+// copy of the original two-pass algorithm that projects and corrects every
+// photon with exact libm calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -139,7 +141,9 @@ TEST(Preprocess, EmptyBeamYieldsEmptyResult) {
 // into a second beam). The one change is std::stable_sort in place of
 // std::sort: the original left the order of equal along-track distances
 // unspecified, and raw index order is the order preprocess_beam now
-// guarantees.
+// guarantees. It projects and corrects every photon with the exact
+// PolarStereo::forward and GeoCorrections::total, the oracle for
+// preprocess_beam's per-cell expansions.
 // ---------------------------------------------------------------------------
 
 double interp_background_reference(const std::vector<double>& bin_t,
@@ -237,8 +241,27 @@ bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-void expect_bitwise_equal(const atl03::PreprocessedBeam& got,
-                          const atl03::PreprocessedBeam& want) {
+double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    worst = std::max(worst, std::abs(a[i] - b[i]));
+  return worst;
+}
+
+/// Tolerances of the geolocation-cell expansion against exact libm, fixed
+/// before measuring: projection 1e-6 m, corrected height 1e-5 m.
+constexpr double kXyTol = 1e-6;
+constexpr double kHTol = 1e-5;
+
+struct GeometryError {
+  double xy = 0.0;
+  double h = 0.0;
+};
+
+/// Output order, survivors and every non-geometric field bitwise; x, y and
+/// h within the expansion's tolerances.
+GeometryError expect_matches_reference(const atl03::PreprocessedBeam& got,
+                                       const atl03::PreprocessedBeam& want) {
   EXPECT_EQ(got.beam, want.beam);
   EXPECT_TRUE(bitwise_equal(std::vector<double>{got.track_origin.x, got.track_origin.y,
                                                 got.track_heading, got.epoch_time},
@@ -246,19 +269,24 @@ void expect_bitwise_equal(const atl03::PreprocessedBeam& got,
                                                 want.track_heading, want.epoch_time}));
   EXPECT_EQ(got.size(), want.size());
   EXPECT_TRUE(bitwise_equal(got.s, want.s)) << "s";
-  EXPECT_TRUE(bitwise_equal(got.h, want.h)) << "h";
   EXPECT_TRUE(bitwise_equal(got.t, want.t)) << "t";
-  EXPECT_TRUE(bitwise_equal(got.x, want.x)) << "x";
-  EXPECT_TRUE(bitwise_equal(got.y, want.y)) << "y";
   EXPECT_TRUE(bitwise_equal(got.bckgrd_rate, want.bckgrd_rate)) << "bckgrd_rate";
   EXPECT_TRUE(bitwise_equal(got.truth_class, want.truth_class)) << "truth_class";
+  const GeometryError err{std::max(max_abs_diff(got.x, want.x), max_abs_diff(got.y, want.y)),
+                          max_abs_diff(got.h, want.h)};
+  EXPECT_LE(err.xy, kXyTol) << "x/y";
+  EXPECT_LE(err.h, kHTol) << "h";
+  return err;
 }
 
 atl03::PreprocessedBeam check_against_reference(const atl03::BeamData& beam,
-                                                const PreprocessConfig& config = {}) {
+                                                const PreprocessConfig& config = {},
+                                                GeometryError* error = nullptr) {
   Fixture fx;
   const auto got = atl03::preprocess_beam(fx.granule, beam, fx.corrections, config);
-  expect_bitwise_equal(got, preprocess_beam_reference(fx.granule, beam, fx.corrections, config));
+  const auto err = expect_matches_reference(
+      got, preprocess_beam_reference(fx.granule, beam, fx.corrections, config));
+  if (error) *error = err;
   return got;
 }
 
@@ -283,8 +311,9 @@ atl03::BeamData select_photons(const atl03::BeamData& beam, Pred keep) {
   return out;
 }
 
-TEST(PreprocessReference, FixtureBitIdenticalAcrossConfigs) {
+TEST(PreprocessReference, FixtureMatchesAcrossConfigs) {
   Fixture fx;
+  GeometryError worst;
   for (const auto& beam : fx.granule.beams)
     for (const auto conf : {SignalConf::Low, SignalConf::High})
       for (const bool geo : {true, false}) {
@@ -292,9 +321,55 @@ TEST(PreprocessReference, FixtureBitIdenticalAcrossConfigs) {
         PreprocessConfig cfg;
         cfg.min_conf = conf;
         cfg.apply_geo_correction = geo;
-        const auto got = check_against_reference(beam, cfg);
+        GeometryError err;
+        const auto got = check_against_reference(beam, cfg, &err);
         EXPECT_GT(got.size(), 0u);
+        worst = {std::max(worst.xy, err.xy), std::max(worst.h, err.h)};
       }
+  std::printf("max |dx|,|dy| %.3g m, max |dh| %.3g m against exact libm\n", worst.xy, worst.h);
+}
+
+TEST(PreprocessReference, CellAnchorsAreBitExact) {
+  // With no outlier rejection, the first output photon of each 20 m
+  // along-track cell is that cell's anchor: projected and corrected by the
+  // exact path, so it keeps the reference's bits.
+  Fixture fx;
+  PreprocessConfig cfg;
+  cfg.outlier_threshold_m = std::numeric_limits<double>::infinity();
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  const auto got = atl03::preprocess_beam(fx.granule, raw, fx.corrections, cfg);
+  const auto want = preprocess_beam_reference(fx.granule, raw, fx.corrections, cfg);
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t anchors = 0;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (k > 0 && std::floor(got.s[k] / 20.0) == std::floor(got.s[k - 1] / 20.0)) continue;
+    ++anchors;
+    EXPECT_TRUE(bitwise_equal(std::vector<double>{got.x[k], got.y[k], got.h[k]},
+                              std::vector<double>{want.x[k], want.y[k], want.h[k]}))
+        << "anchor at s=" << got.s[k];
+  }
+  EXPECT_GT(anchors, 250u);  // ~6 km of track
+}
+
+TEST(PreprocessReference, AnchorsFollowGeolocationNotOnlyAlongTrack) {
+  // Every photon claims along-track 0, so all share one 20 m cell; photons
+  // far from the anchor on the ground must start anchors of their own, or
+  // the expansion would run kilometres from its anchor.
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  for (auto& s : raw.along_track) s = 0.0;
+  const auto got = check_against_reference(raw);
+  EXPECT_GT(got.size(), 0u);
+}
+
+TEST(PreprocessReference, SkewedAlongTrackSpreadSortsLikeStdSort) {
+  // All but one photon squeezed into 6 mm, one 50 km away: one bucket holds
+  // nearly every key, which then goes through std::sort.
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  for (auto& s : raw.along_track) s *= 1e-6;
+  raw.along_track[raw.size() / 2] = 5.0e4;
+  check_against_reference(raw);
 }
 
 TEST(PreprocessReference, GapsWiderThanABinFillFromNeighbours) {
@@ -348,6 +423,52 @@ TEST(PreprocessReference, SinglePhoton) {
   const auto got = check_against_reference(one);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got.s[0], raw.along_track[first_high]);
+}
+
+TEST(PreprocessReference, NonFinitePhotonsAreDropped) {
+  Fixture fx;
+  auto raw = fx.granule.beam(BeamId::Gt2r);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto first_high = [&](std::size_t from) {
+    while (raw.signal_conf[from] < static_cast<std::int8_t>(SignalConf::High)) ++from;
+    return from;
+  };
+  // Each field of a high-confidence photon, NaN or +-Inf, among them the
+  // first photon (an anchor) and photons spread along the beam.
+  std::vector<std::size_t> planted;
+  const auto plant = [&](std::size_t i, double& field, double value) {
+    field = value;
+    planted.push_back(i);
+  };
+  std::size_t i = first_high(0);
+  plant(i, raw.along_track[i], nan);
+  i = first_high(i + 1);
+  plant(i, raw.lat[i], nan);
+  for (std::size_t k = 1; k <= 10; ++k) {
+    i = first_high(k * raw.size() / 12);
+    switch (k % 5) {
+      case 0: plant(i, raw.along_track[i], k % 2 ? inf : -inf); break;
+      case 1: plant(i, raw.lon[i], k % 2 ? nan : inf); break;
+      case 2: plant(i, raw.lat[i], -inf); break;
+      case 3: plant(i, raw.h[i], k % 2 ? nan : inf); break;
+      default: plant(i, raw.delta_time[i], k % 2 ? nan : -inf); break;
+    }
+  }
+  const auto kept = select_photons(raw, [&](std::size_t j) {
+    return std::find(planted.begin(), planted.end(), j) == planted.end();
+  });
+  ASSERT_EQ(kept.size(), raw.size() - planted.size());
+  const auto got = atl03::preprocess_beam(fx.granule, raw, fx.corrections);
+  const auto want = check_against_reference(kept);
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(bitwise_equal(got.s, want.s)) << "s";
+  EXPECT_TRUE(bitwise_equal(got.h, want.h)) << "h";
+  EXPECT_TRUE(bitwise_equal(got.t, want.t)) << "t";
+  EXPECT_TRUE(bitwise_equal(got.x, want.x)) << "x";
+  EXPECT_TRUE(bitwise_equal(got.y, want.y)) << "y";
+  EXPECT_TRUE(bitwise_equal(got.bckgrd_rate, want.bckgrd_rate)) << "bckgrd_rate";
+  EXPECT_TRUE(bitwise_equal(got.truth_class, want.truth_class)) << "truth_class";
 }
 
 TEST(PreprocessReference, DuplicateAlongTrackKeepRawOrder) {

@@ -1512,6 +1512,23 @@ TEST_F(ServeCampaign, RegistryIsLiveWithoutAnyViewCall) {
   EXPECT_EQ(static_cast<double>(m.inference_windows), windows);
 }
 
+TEST_F(ServeCampaign, ColdRequestCountsOneRamMiss) {
+  // The build's RAM recheck is not a second client lookup: one cold request
+  // then kHits RAM hits reads kHits + 1 requests, kHits hits and one miss.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  auto service = make_service(cfg);
+  const ProductRequest r = request(BeamId::Gt2r);
+  ASSERT_EQ(service->submit(r).get().source, ServedFrom::build);
+  constexpr int kHits = 5;
+  for (int i = 0; i < kHits; ++i) EXPECT_EQ(service->submit(r).get().source, ServedFrom::ram);
+
+  const auto m = service->metrics();
+  EXPECT_EQ(m.requests, static_cast<std::uint64_t>(kHits + 1));
+  EXPECT_EQ(m.cache.hits, static_cast<std::uint64_t>(kHits));
+  EXPECT_EQ(m.cache.misses, 1u);
+}
+
 TEST_F(ServeCampaign, CountersNeverDecreaseWhileViewsAreRead) {
   // Two readers call the views (metrics(), obs_snapshot()) during RAM-hit
   // traffic; each checks its own successive snapshots, in which no

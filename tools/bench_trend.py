@@ -58,6 +58,9 @@ COLUMNS = [
     # at the model-gradient buffer size.
     "dist_speedup_4rank",
     "allreduce_gbps",
+    # ATL03 ingest cost from BENCH_dist.json: preprocess_beam ns per input
+    # photon on the test_preprocess fixture beam.
+    "preprocess_ns_per_photon",
     # Per-stage ProductBuilder means (ms) from BENCH_serve.json's
     # `builder_stages` block — the stage-graph latency breakdown.
 ] + [f"builder_{stage}_mean_ms" for stage in BUILDER_STAGES]
@@ -113,6 +116,7 @@ def dist_fields(doc):
     return {
         "dist_speedup_4rank": doc.get("dist_speedup_4rank"),
         "allreduce_gbps": doc.get("allreduce_gbps"),
+        "preprocess_ns_per_photon": doc.get("preprocess_ns_per_photon"),
     }
 
 
