@@ -47,6 +47,7 @@
 #include "obs/export.hpp"
 #include "obs/instruments.hpp"
 #include "serve/cluster.hpp"
+#include "serve/hash_ring.hpp"
 #include "serve/service.hpp"
 #include "util/fault.hpp"
 #include "util/stats.hpp"
@@ -111,13 +112,28 @@ struct TraceOverhead {
   bool ok() const { return traced_mean_ms <= untraced_mean_ms * 1.02 + 0.005; }
 };
 
+/// One counter of a cluster registry snapshot (0 when absent).
+unsigned long long router_count(const obs::RegistrySnapshot& router, const char* name) {
+  const obs::MetricPoint* p = router.find(name);
+  return p ? static_cast<unsigned long long>(p->value) : 0;
+}
+
+/// Requests routed to any node: the sum of the per-node routed counters.
+unsigned long long routed_total(const obs::RegistrySnapshot& router) {
+  unsigned long long n = 0;
+  for (const obs::MetricPoint& p : router.points)
+    if (p.name == "is2_cluster_routed_total") n += static_cast<unsigned long long>(p.value);
+  return n;
+}
+
 /// The cluster SLO sweep: one open-loop run per offered-QPS point against a
 /// reused 3-node fleet (state carries across points — the realistic warm-up
 /// trajectory), plus the router counters after the sweep.
 struct ClusterSection {
   serve::ClusterConfig config;
   std::vector<bench::LoadgenResult> curve;  ///< one row per offered point
-  serve::ClusterMetrics metrics;
+  obs::RegistrySnapshot router;             ///< cluster registry after the sweep
+  double imbalance = 0.0;
 
   /// Headline numbers tools/bench_trend.py trends: the highest offered
   /// point's p99 and total shed rate.
@@ -133,7 +149,8 @@ struct ClusterSection {
 struct ChaosSection {
   double disk_fault_rate = 0.0;
   std::vector<bench::LoadgenResult> curve;
-  serve::ClusterMetrics metrics;
+  obs::RegistrySnapshot router;     ///< cluster registry after the sweep
+  serve::DiskCacheStats shared_disk;
   std::uint64_t injected_disk_read = 0;   ///< disk.read faults actually fired
   std::uint64_t injected_disk_write = 0;  ///< disk.write faults actually fired
 
@@ -218,7 +235,7 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
   out << "  ],\n  \"cluster\": {\n"
       << "    \"nodes\": " << cluster.config.nodes
       << ", \"replication_factor\": " << cluster.config.replication_factor
-      << ", \"vnodes\": " << cluster.config.vnodes
+      << ", \"vnodes\": " << serve::HashRing::kDefaultVnodes
       << ", \"hot_key_threshold\": " << cluster.config.hot_key_threshold << ",\n"
       << "    \"slo_curve\": [\n";
   for (std::size_t i = 0; i < cluster.curve.size(); ++i) {
@@ -238,11 +255,12 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
     out << "}}" << (i + 1 < cluster.curve.size() ? "," : "") << "\n";
   }
   out << "    ],\n"
-      << "    \"peer_probes\": " << cluster.metrics.peer_probes
-      << ", \"peer_fetches\": " << cluster.metrics.peer_fetches
-      << ", \"replica_routes\": " << cluster.metrics.replica_routes
-      << ", \"hot_keys\": " << cluster.metrics.hot_keys << ",\n"
-      << "    \"imbalance\": " << cluster.metrics.imbalance()
+      << "    \"peer_probes\": " << router_count(cluster.router, "is2_cluster_peer_probe_total")
+      << ", \"peer_fetches\": " << router_count(cluster.router, "is2_cluster_peer_fetch_total")
+      << ", \"replica_routes\": "
+      << router_count(cluster.router, "is2_cluster_replica_route_total")
+      << ", \"hot_keys\": " << router_count(cluster.router, "is2_cluster_hot_key_total") << ",\n"
+      << "    \"imbalance\": " << cluster.imbalance
       << ", \"cluster_p99_ms\": " << cluster.p99_ms()
       << ", \"cluster_shed_rate\": " << cluster.shed_rate() << "\n  },\n"
       << "  \"chaos\": {\n"
@@ -251,12 +269,13 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
       << ", \"availability\": " << chaos.availability() << ",\n"
       << "    \"injected_disk_read\": " << chaos.injected_disk_read
       << ", \"injected_disk_write\": " << chaos.injected_disk_write << ",\n"
-      << "    \"node_failures\": " << chaos.metrics.node_failures
-      << ", \"quarantines\": " << chaos.metrics.quarantines
-      << ", \"revives\": " << chaos.metrics.revives
-      << ", \"rereplicated_keys\": " << chaos.metrics.rereplicated_keys << ",\n"
-      << "    \"disk_read_retries\": " << chaos.metrics.shared_disk.disk_read_retries
-      << ", \"corrupt_dropped\": " << chaos.metrics.shared_disk.corrupt_dropped << "\n  },\n"
+      << "    \"node_failures\": " << router_count(chaos.router, "is2_cluster_node_failures_total")
+      << ", \"quarantines\": " << router_count(chaos.router, "is2_cluster_quarantine_total")
+      << ", \"revives\": " << router_count(chaos.router, "is2_cluster_revive_total")
+      << ", \"rereplicated_keys\": "
+      << router_count(chaos.router, "is2_cluster_rereplicated_keys_total") << ",\n"
+      << "    \"disk_read_retries\": " << chaos.shared_disk.disk_read_retries
+      << ", \"corrupt_dropped\": " << chaos.shared_disk.corrupt_dropped << "\n  },\n"
       << "  \"cache_tiers\": {\n"
       << "    \"rebuild_mean_ms\": " << tiers.rebuild_mean_ms
       << ", \"rebuild_p99_ms\": " << tiers.rebuild_p99_ms << ",\n"
@@ -542,10 +561,9 @@ int main(int argc, char** argv) {
   {
     serve::ClusterConfig ccfg;
     ccfg.nodes = 3;
-    ccfg.vnodes = 128;
     ccfg.replication_factor = 2;
     ccfg.hot_key_threshold = 4;
-    ccfg.shared_disk_dir = dir + "/cluster_disk";
+    ccfg.node.disk_cache_dir = dir + "/cluster_disk";
     ccfg.node.workers = 1;
     ccfg.node.queue_capacity = 4;
     ccfg.node.cache_bytes = one_product_bytes * 2;
@@ -582,19 +600,19 @@ int main(int argc, char** argv) {
                    std::to_string(r.achieved_qps).substr(0, 7),
                    std::to_string(r.p50()).substr(0, 7), std::to_string(r.p99()).substr(0, 7),
                    std::to_string(r.shed_rate()).substr(0, 5),
-                   std::to_string(cluster.metrics().imbalance()).substr(0, 5)});
+                   std::to_string(cluster.imbalance()).substr(0, 5)});
     }
-    cluster_section.metrics = cluster.metrics();
+    cluster_section.router = cluster.registry().snapshot();
+    cluster_section.imbalance = cluster.imbalance();
+    const obs::RegistrySnapshot& router = cluster_section.router;
     std::printf("%s\n", slo.to_string().c_str());
     std::printf(
         "router: %llu routed, %llu peer probes -> %llu peer fetches, %llu hot keys, "
         "%llu replica routes, imbalance %.3f\n\n",
-        static_cast<unsigned long long>(cluster_section.metrics.requests),
-        static_cast<unsigned long long>(cluster_section.metrics.peer_probes),
-        static_cast<unsigned long long>(cluster_section.metrics.peer_fetches),
-        static_cast<unsigned long long>(cluster_section.metrics.hot_keys),
-        static_cast<unsigned long long>(cluster_section.metrics.replica_routes),
-        cluster_section.metrics.imbalance());
+        routed_total(router), router_count(router, "is2_cluster_peer_probe_total"),
+        router_count(router, "is2_cluster_peer_fetch_total"),
+        router_count(router, "is2_cluster_hot_key_total"),
+        router_count(router, "is2_cluster_replica_route_total"), cluster_section.imbalance);
     // Node-labeled fleet exposition for the CI lint (check_prometheus.py
     // --require-node-label), captured before the nodes drain.
     cluster_prom_text = obs::to_prometheus(cluster.obs_snapshot());
@@ -612,11 +630,10 @@ int main(int argc, char** argv) {
   {
     serve::ClusterConfig ccfg;
     ccfg.nodes = 3;
-    ccfg.vnodes = 128;
     ccfg.replication_factor = 2;
     ccfg.hot_key_threshold = 4;
     ccfg.quarantine_after = 3;
-    ccfg.shared_disk_dir = dir + "/chaos_disk";
+    ccfg.node.disk_cache_dir = dir + "/chaos_disk";
     ccfg.node.workers = 2;
     ccfg.node.queue_capacity = 64;
     // RAM holds ~3 of each node's ~8 owned+replica products: the Zipf tail
@@ -672,7 +689,9 @@ int main(int argc, char** argv) {
     }
     chaos_section.injected_disk_read = plan.failures("disk.read");
     chaos_section.injected_disk_write = plan.failures("disk.write");
-    chaos_section.metrics = cluster.metrics();
+    chaos_section.router = cluster.registry().snapshot();
+    chaos_section.shared_disk = cluster.shared_disk()->stats();
+    const obs::RegistrySnapshot& router = chaos_section.router;
     std::printf("%s\n", chaos_table.to_string().c_str());
     std::printf(
         "chaos: %llu/%llu served (availability %.4f), %llu disk.read + %llu disk.write "
@@ -682,11 +701,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(chaos_section.offered()), chaos_section.availability(),
         static_cast<unsigned long long>(chaos_section.injected_disk_read),
         static_cast<unsigned long long>(chaos_section.injected_disk_write),
-        static_cast<unsigned long long>(chaos_section.metrics.shared_disk.disk_read_retries),
-        static_cast<unsigned long long>(chaos_section.metrics.node_failures),
-        static_cast<unsigned long long>(chaos_section.metrics.quarantines),
-        static_cast<unsigned long long>(chaos_section.metrics.revives),
-        static_cast<unsigned long long>(chaos_section.metrics.rereplicated_keys));
+        static_cast<unsigned long long>(chaos_section.shared_disk.disk_read_retries),
+        router_count(router, "is2_cluster_node_failures_total"),
+        router_count(router, "is2_cluster_quarantine_total"),
+        router_count(router, "is2_cluster_revive_total"),
+        router_count(router, "is2_cluster_rereplicated_keys_total"));
     cluster.shutdown();
   }
 
@@ -765,16 +784,19 @@ int main(int argc, char** argv) {
 
   // Tripwire: the router must have moved at least one product across peers
   // (the deterministic hot-key demo guarantees the opportunity).
-  if (cluster_section.metrics.peer_fetches == 0) {
+  const unsigned long long peer_fetches =
+      router_count(cluster_section.router, "is2_cluster_peer_fetch_total");
+  const unsigned long long peer_probes =
+      router_count(cluster_section.router, "is2_cluster_peer_probe_total");
+  if (peer_fetches == 0) {
     std::fprintf(stderr,
                  "FAIL: cluster run recorded zero peer fetches (%llu probes) — the "
                  "replica-probe-before-rebuild path is dead\n",
-                 static_cast<unsigned long long>(cluster_section.metrics.peer_probes));
+                 peer_probes);
     return 1;
   }
-  std::printf("cluster peer fetch: %llu of %llu probes hit a replica RAM tier\n",
-              static_cast<unsigned long long>(cluster_section.metrics.peer_fetches),
-              static_cast<unsigned long long>(cluster_section.metrics.peer_probes));
+  std::printf("cluster peer fetch: %llu of %llu probes hit a replica RAM tier\n", peer_fetches,
+              peer_probes);
 
   // Tripwire: the robustness layer must hold availability through the storm.
   if (chaos_section.availability() < 0.99) {

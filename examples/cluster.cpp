@@ -64,14 +64,14 @@ int main() {
   ccfg.nodes = 3;
   ccfg.replication_factor = 2;
   ccfg.hot_key_threshold = 4;
-  ccfg.shared_disk_dir = dir + "/fleet_cache";
+  ccfg.node.disk_cache_dir = dir + "/fleet_cache";
   ccfg.node.workers = 1;
   ccfg.node.queue_capacity = 8;
   serve::Cluster cluster(ccfg, config, campaign.corrections(), index, model_factory, scaler);
   std::printf("fleet: %zu nodes x %zu workers, rf=%zu, hot threshold %llu, shared disk %s\n",
               cluster.num_nodes(), ccfg.node.workers, ccfg.replication_factor,
               static_cast<unsigned long long>(ccfg.hot_key_threshold),
-              ccfg.shared_disk_dir.c_str());
+              ccfg.node.disk_cache_dir.c_str());
 
   // 4. Warm the fleet: every (granule, beam) prefetches its classification
   //    prefix on its owning node; later deep requests resume from it.
@@ -124,23 +124,31 @@ int main() {
   }
   for (auto& t : clients) t.join();
 
-  const auto m1 = cluster.metrics();
-  std::printf("\n== ClusterMetrics after traffic ==\n");
-  for (std::size_t i = 0; i < cluster.num_nodes(); ++i)
+  // Router counters live in the cluster's registry; node counters in each
+  // node's own.
+  const obs::RegistrySnapshot router = cluster.registry().snapshot();
+  const auto count = [&router](const char* name, const obs::Labels& labels = {}) {
+    const obs::MetricPoint* p = router.find(name, labels);
+    return p ? static_cast<unsigned long long>(p->value) : 0ull;
+  };
+  std::printf("\n== router and node counters after traffic ==\n");
+  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
+    const serve::ServiceMetrics m = cluster.node(i).metrics();
     std::printf("node%zu  routed %-4llu  fast hits %-4llu  builds %-3llu  resumed %llu\n", i,
-                static_cast<unsigned long long>(m1.routed[i]),
-                static_cast<unsigned long long>(m1.nodes[i].fast_hits),
-                static_cast<unsigned long long>(m1.nodes[i].scheduler.completed),
-                static_cast<unsigned long long>(m1.nodes[i].resumed_builds));
+                count("is2_cluster_routed_total", {{"node", "node" + std::to_string(i)}}),
+                static_cast<unsigned long long>(m.fast_hits),
+                static_cast<unsigned long long>(m.scheduler.completed),
+                static_cast<unsigned long long>(m.resumed_builds));
+  }
   std::printf("imbalance %.2fx | hot keys %llu | replica routes %llu | "
               "peer probes %llu -> %llu fetches (each one skipped shard IO + inference)\n",
-              m1.imbalance(), static_cast<unsigned long long>(m1.hot_keys),
-              static_cast<unsigned long long>(m1.replica_routes),
-              static_cast<unsigned long long>(m1.peer_probes),
-              static_cast<unsigned long long>(m1.peer_fetches));
+              cluster.imbalance(), count("is2_cluster_hot_key_total"),
+              count("is2_cluster_replica_route_total"), count("is2_cluster_peer_probe_total"),
+              count("is2_cluster_peer_fetch_total"));
+  const serve::DiskCacheStats disk = cluster.shared_disk()->stats();
   std::printf("shared disk: %llu writes, %llu hits, %zu files\n",
-              static_cast<unsigned long long>(m1.shared_disk.writes),
-              static_cast<unsigned long long>(m1.shared_disk.hits), m1.shared_disk.entries);
+              static_cast<unsigned long long>(disk.writes),
+              static_cast<unsigned long long>(disk.hits), disk.entries);
 
   // 6. Kill the hot key's owner. The ring drops only that node's ranges
   //    (minimal churn), the key re-routes to a survivor, and the product

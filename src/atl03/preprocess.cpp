@@ -179,41 +179,31 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
 
   // Reject ineffective reference photons: compare each photon to the median
   // height of its along-track bin (binned median = robust local surface).
-  // The series is sorted, so each bin is one contiguous run of it.
+  // The series is sorted, so each bin is one contiguous run of it: take the
+  // run's median, then compact the run's survivors to the front of every
+  // array, in place (w never passes the run's start).
   const double s0 = out.s.front();
   const auto bin_of = [&](double s) {
     return static_cast<std::size_t>((s - s0) / config.outlier_bin_m);
   };
-  const std::size_t n_bins = bin_of(out.s.back()) + 1;
-  std::vector<double> bin_median(n_bins, std::numeric_limits<double>::quiet_NaN());
+  std::size_t w = 0;
   for (std::size_t lo = 0; lo < m;) {
     const std::size_t b = bin_of(out.s[lo]);
     std::size_t hi = lo + 1;
     while (hi < m && bin_of(out.s[hi]) == b) ++hi;
-    bin_median[b] = util::median(std::span<const double>(out.h).subspan(lo, hi - lo));
-    lo = hi;
-  }
-  // Fill empty bins from the nearest non-empty neighbour.
-  for (std::size_t b = 0; b < n_bins; ++b) {
-    if (!std::isnan(bin_median[b])) continue;
-    for (std::size_t d = 1; d < n_bins; ++d) {
-      if (b >= d && !std::isnan(bin_median[b - d])) { bin_median[b] = bin_median[b - d]; break; }
-      if (b + d < n_bins && !std::isnan(bin_median[b + d])) { bin_median[b] = bin_median[b + d]; break; }
+    const double median = util::median(std::span<const double>(out.h).subspan(lo, hi - lo));
+    for (std::size_t k = lo; k < hi; ++k) {
+      if (std::abs(out.h[k] - median) > config.outlier_threshold_m) continue;
+      out.s[w] = out.s[k];
+      out.h[w] = out.h[k];
+      out.t[w] = out.t[k];
+      out.x[w] = out.x[k];
+      out.y[w] = out.y[k];
+      out.bckgrd_rate[w] = out.bckgrd_rate[k];
+      if (has_truth) out.truth_class[w] = out.truth_class[k];
+      ++w;
     }
-  }
-
-  // Compact the survivors to the front of every array, in place.
-  std::size_t w = 0;
-  for (std::size_t k = 0; k < m; ++k) {
-    if (std::abs(out.h[k] - bin_median[bin_of(out.s[k])]) > config.outlier_threshold_m) continue;
-    out.s[w] = out.s[k];
-    out.h[w] = out.h[k];
-    out.t[w] = out.t[k];
-    out.x[w] = out.x[k];
-    out.y[w] = out.y[k];
-    out.bckgrd_rate[w] = out.bckgrd_rate[k];
-    if (has_truth) out.truth_class[w] = out.truth_class[k];
-    ++w;
+    lo = hi;
   }
   out.s.resize(w);
   out.h.resize(w);

@@ -12,6 +12,21 @@ namespace is2::core {
 
 using atl03::SurfaceClass;
 
+namespace {
+
+/// The auto-label config of one beam or partition: the configured one with
+/// the feature-gap default filled in, its own seed and overlay shift.
+label::AutoLabelConfig autolabel_config(const PipelineConfig& config, std::uint64_t seed,
+                                        geo::Xy shift) {
+  label::AutoLabelConfig al = config.autolabel;
+  if (al.feature_gap_m < 0.0) al.feature_gap_m = config.segmenter.window_m * 1.5;
+  al.seed = seed;
+  al.overlay.shift = shift;
+  return al;
+}
+
+}  // namespace
+
 LabeledPair label_pair(const PairDataset& pair, const geo::GeoCorrections& corrections,
                        const PipelineConfig& config, bool estimate_drift_instead) {
   LabeledPair out;
@@ -24,16 +39,13 @@ LabeledPair label_pair(const PairDataset& pair, const geo::GeoCorrections& corre
     builder.run_until(art, pipeline::StageId::fpb);
     auto segments = art.take_segments();
 
-    label::AutoLabelConfig al = config.autolabel;
-    if (al.feature_gap_m < 0.0) al.feature_gap_m = config.segmenter.window_m * 1.5;
-    al.seed = config.seed ^ util::hash64(static_cast<std::uint64_t>(beam.beam) + 11);
-    if (estimate_drift_instead) {
-      const auto baseline = resample::rolling_baseline(segments);
-      const auto est = label::estimate_drift(pair.s2_labels, segments, baseline);
-      al.overlay.shift = est.shift;
-    } else {
-      al.overlay.shift = pair.pair.true_drift();
-    }
+    const geo::Xy shift =
+        estimate_drift_instead
+            ? label::estimate_drift(pair.s2_labels, segments, resample::rolling_baseline(segments))
+                  .shift
+            : pair.pair.true_drift();
+    const label::AutoLabelConfig al = autolabel_config(
+        config, config.seed ^ util::hash64(static_cast<std::uint64_t>(beam.beam) + 11), shift);
     out.labeled.push_back(label::auto_label(pair.s2_labels, std::move(segments), al));
   }
   return out;
@@ -120,26 +132,14 @@ AutoLabelJobStats run_autolabel_job(mapred::Engine& engine, const ShardSet& shar
   auto result = mapred::run_map_reduce<atl03::Granule, PartitionOut>(
       engine, shards.files.size(),
       /*load=*/[&](std::size_t i) { return h5::load_granule(shards.files[i]); },
-      /*map=*/
-      [&](std::vector<atl03::Granule>& parts) {
-        // Key assignment: stable ordering by (pair, id) — Spark's cheap
-        // narrow transformation before the shuffle.
-        std::vector<std::size_t> keys(parts.size());
-        for (std::size_t i = 0; i < parts.size(); ++i)
-          keys[i] = shards.pair_of_file[i] * 131 + i;
-        (void)keys;
-      },
+      /*map=*/[](std::vector<atl03::Granule>&) {},  // partitions are already keyed by file
       /*reduce=*/
       [&](atl03::Granule& shard, std::size_t i) {
         const std::size_t pair = shards.pair_of_file[i];
         auto segments = partition_segments(shard, builder);
-
-        label::AutoLabelConfig al = config.autolabel;
-        if (al.feature_gap_m < 0.0) al.feature_gap_m = config.segmenter.window_m * 1.5;
-        al.seed = config.seed ^ util::hash64(i * 31 + 5);
-        al.overlay.shift = drifts[pair];
-        const label::LabeledBeam lb =
-            label::auto_label(rasters[pair], std::move(segments), al);
+        const label::LabeledBeam lb = label::auto_label(
+            rasters[pair], std::move(segments),
+            autolabel_config(config, config.seed ^ util::hash64(i * 31 + 5), drifts[pair]));
 
         PartitionOut out;
         out.segments = lb.segments.size();
@@ -184,13 +184,7 @@ FreeboardJobStats run_freeboard_job(mapred::Engine& engine, const ShardSet& shar
   auto result = mapred::run_map_reduce<atl03::Granule, PartitionOut>(
       engine, shards.files.size(),
       /*load=*/[&](std::size_t i) { return h5::load_granule(shards.files[i]); },
-      /*map=*/
-      [&](std::vector<atl03::Granule>& parts) {
-        std::vector<std::size_t> keys(parts.size());
-        for (std::size_t i = 0; i < parts.size(); ++i)
-          keys[i] = shards.pair_of_file[i] * 131 + i;
-        (void)keys;
-      },
+      /*map=*/[](std::vector<atl03::Granule>&) {},  // partitions are already keyed by file
       /*reduce=*/
       [&](atl03::Granule& shard, std::size_t i) {
         const std::size_t pair = shards.pair_of_file[i];
@@ -199,11 +193,9 @@ FreeboardJobStats run_freeboard_job(mapred::Engine& engine, const ShardSet& shar
         // Classification stage output: the labeled classes along the chunk
         // (the scaling experiment measures the freeboard computation, so the
         // classifier here is the fast overlay+rules path).
-        label::AutoLabelConfig al = config.autolabel;
-        if (al.feature_gap_m < 0.0) al.feature_gap_m = config.segmenter.window_m * 1.5;
-        al.seed = config.seed ^ util::hash64(i * 67 + 9);
-        al.overlay.shift = drifts[pair];
-        label::LabeledBeam lb = label::auto_label(rasters[pair], std::move(segments), al);
+        label::LabeledBeam lb = label::auto_label(
+            rasters[pair], std::move(segments),
+            autolabel_config(config, config.seed ^ util::hash64(i * 67 + 9), drifts[pair]));
 
         // Sea surface + freeboard through the stage graph, resuming from the
         // auto-label classes (no ClassifierBackend needed).

@@ -109,6 +109,12 @@ RegistrySnapshot Registry::snapshot() const {
   return out;
 }
 
+const MetricPoint* RegistrySnapshot::find(const std::string& name, const Labels& labels) const {
+  for (const MetricPoint& p : points)
+    if (p.name == name && p.labels == labels) return &p;
+  return nullptr;
+}
+
 Registry& use_or_own(Registry* given, std::unique_ptr<Registry>& owned) {
   if (given) return *given;
   owned = std::make_unique<Registry>();

@@ -63,6 +63,10 @@ struct MetricPoint {
 
 struct RegistrySnapshot {
   std::vector<MetricPoint> points;  ///< sorted by (name, labels)
+
+  /// The point with exactly this name and (sorted) label set; nullptr when
+  /// absent.
+  const MetricPoint* find(const std::string& name, const Labels& labels = {}) const;
 };
 
 class Registry {

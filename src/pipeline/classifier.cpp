@@ -11,33 +11,8 @@ using atl03::SurfaceClass;
 
 namespace {
 
-/// Standardize feature rows into a flat [n * kDim] buffer. Shared by both
-/// window-classification paths so the serve-vs-batch bit-identity contract
-/// cannot drift.
-std::vector<float> standardize_rows(const std::vector<resample::FeatureRow>& features,
-                                    const resample::FeatureScaler& scaler) {
-  constexpr int kDim = resample::FeatureRow::kDim;
-  std::vector<float> scaled(features.size() * kDim);
-  for (std::size_t i = 0; i < features.size(); ++i)
-    for (int d = 0; d < kDim; ++d)
-      scaled[i * kDim + d] = (features[i].v[d] - scaler.mean[d]) / scaler.std[d];
-  return scaled;
-}
-
-/// Per-window predictions -> per-segment classes: each window's prediction
-/// lands on its center segment, edge segments inherit the nearest interior
-/// prediction. `pred` has n - window + 1 entries.
-std::vector<SurfaceClass> centers_with_edge_fill(const std::uint8_t* pred, std::size_t n,
-                                                 std::size_t window) {
-  std::vector<SurfaceClass> out(n, SurfaceClass::Unknown);
-  const std::size_t half = window / 2;
-  const std::size_t n_windows = n - window + 1;
-  for (std::size_t w = 0; w < n_windows; ++w)
-    out[w + half] = static_cast<SurfaceClass>(pred[w]);
-  for (std::size_t i = 0; i < half; ++i) out[i] = out[half];
-  for (std::size_t i = n - half; i < n; ++i) out[i] = out[n - half - 1];
-  return out;
-}
+/// Windows per forward pass of `classify_windows`.
+constexpr std::size_t kClassifyBatchWindows = 256;
 
 }  // namespace
 
@@ -48,22 +23,40 @@ std::vector<SurfaceClass> centers_with_edge_fill(const std::uint8_t* pred, std::
 std::vector<SurfaceClass> classify_windows(nn::Sequential& model,
                                            const resample::FeatureScaler& scaler,
                                            const std::vector<resample::FeatureRow>& features,
-                                           std::size_t window, std::size_t batch_windows) {
+                                           std::size_t window) {
   const std::size_t n = features.size();
   if (window == 0 || n < window) return std::vector<SurfaceClass>(n, SurfaceClass::Unknown);
 
-  // Standardize and window.
-  const std::vector<float> scaled = standardize_rows(features, scaler);
-  const std::size_t n_windows = n - window + 1;
-  nn::Tensor3 x(n_windows, window, resample::FeatureRow::kDim);
-  for (std::size_t w = 0; w < n_windows; ++w)
-    std::copy(scaled.begin() + static_cast<std::ptrdiff_t>(w * resample::FeatureRow::kDim),
-              scaled.begin() +
-                  static_cast<std::ptrdiff_t>((w + window) * resample::FeatureRow::kDim),
-              x.at(w, 0));
+  constexpr int kDim = resample::FeatureRow::kDim;
+  std::vector<float> scaled(n * kDim);
+  for (std::size_t i = 0; i < n; ++i)
+    for (int d = 0; d < kDim; ++d)
+      scaled[i * kDim + d] = (features[i].v[d] - scaler.mean[d]) / scaler.std[d];
 
-  const auto pred = model.predict(x, batch_windows);
-  return centers_with_edge_fill(pred.data(), n, window);
+  // Stage one batch of windows at a time and predict it in one forward
+  // pass. A window's prediction depends only on its own rows, so the batch
+  // partition never changes the result.
+  const std::size_t n_windows = n - window + 1;
+  std::vector<std::uint8_t> pred(n_windows);
+  nn::Tensor3 x;
+  for (std::size_t w0 = 0; w0 < n_windows; w0 += kClassifyBatchWindows) {
+    const std::size_t rows = std::min(kClassifyBatchWindows, n_windows - w0);
+    x.resize(rows, window, kDim);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t w = w0 + r;
+      std::copy(scaled.data() + w * kDim, scaled.data() + (w + window) * kDim, x.at(r, 0));
+    }
+    model.predict_into(x, pred.data() + w0, rows);
+  }
+
+  // Each window's prediction lands on its center segment; edge segments
+  // inherit the nearest interior prediction.
+  std::vector<SurfaceClass> out(n, SurfaceClass::Unknown);
+  const std::size_t half = window / 2;
+  for (std::size_t w = 0; w < n_windows; ++w) out[w + half] = static_cast<SurfaceClass>(pred[w]);
+  for (std::size_t i = 0; i < half; ++i) out[i] = out[half];
+  for (std::size_t i = n - half; i < n; ++i) out[i] = out[n - half - 1];
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -71,12 +64,9 @@ std::vector<SurfaceClass> classify_windows(nn::Sequential& model,
 // ---------------------------------------------------------------------------
 
 NnBackend::NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
-                     std::size_t replicas, std::size_t batch_windows,
-                     std::uint64_t weights_version, obs::Registry* registry)
-    : scaler_(scaler),
-      window_(window),
-      batch_windows_(batch_windows ? batch_windows : 256),
-      weights_version_(weights_version) {
+                     std::size_t replicas, std::uint64_t weights_version,
+                     obs::Registry* registry)
+    : scaler_(scaler), window_(window), weights_version_(weights_version) {
   if (!factory) throw std::invalid_argument("NnBackend: null model factory");
   if (window_ == 0) throw std::invalid_argument("NnBackend: zero window");
   obs::Registry& reg = obs::use_or_own(registry, owned_registry_);
@@ -125,42 +115,24 @@ void NnBackend::return_replica(std::unique_ptr<nn::Sequential> model) {
 
 std::vector<SurfaceClass> NnBackend::classify(
     const std::vector<resample::FeatureRow>& features) {
-  const std::size_t window = window_;
-  const std::size_t n = features.size();
-  if (n < window || window == 0) return std::vector<SurfaceClass>(n, SurfaceClass::Unknown);
-
-  // Standardize once (same helper as classify_windows: bit-identical).
-  const std::vector<float> scaled = standardize_rows(features, scaler_);
-  constexpr int kDim = resample::FeatureRow::kDim;
-  const std::size_t n_windows = n - window + 1;
-  const std::size_t batch = batch_windows_;
-  std::vector<std::uint8_t> pred(n_windows);
-  std::uint64_t batches = 0;
-
   // Check a model replica out of the pool (inference mutates Sequential state).
   std::unique_ptr<nn::Sequential> model = checkout_replica();
+  std::vector<SurfaceClass> out;
   try {
-    nn::Tensor3 x;  // staging buffer, reused across this call's batches
-    for (std::size_t w0 = 0; w0 < n_windows; w0 += batch) {
-      const std::size_t rows = std::min(batch, n_windows - w0);
-      x.resize(rows, window, kDim);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t w = w0 + r;
-        std::copy(scaled.data() + w * kDim, scaled.data() + (w + window) * kDim, x.at(r, 0));
-      }
-      model->predict_into(x, pred.data() + w0, rows);  // one forward pass
-      ++batches;
-    }
+    out = classify_windows(*model, scaler_, features, window_);
   } catch (...) {
     return_replica(std::move(model));
     throw;
   }
   return_replica(std::move(model));
 
-  batches_total_->inc(batches);
-  windows_total_->inc(n_windows);
-
-  return centers_with_edge_fill(pred.data(), n, window);
+  if (features.size() >= window_) {
+    const std::size_t n_windows = features.size() - window_ + 1;
+    const std::size_t batches = (n_windows + kClassifyBatchWindows - 1) / kClassifyBatchWindows;
+    batches_total_->inc(batches);
+    windows_total_->inc(n_windows);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

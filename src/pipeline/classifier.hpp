@@ -50,20 +50,20 @@ class ClassifierBackend {
 };
 
 /// Sliding-window classification of a feature sequence with one model:
-/// standardize, window, batch-predict, center-assign, edge-fill. Edge
-/// segments inherit the nearest interior prediction.
+/// standardize, window, predict 256 windows per forward pass,
+/// center-assign, edge-fill. Edge segments inherit the nearest interior
+/// prediction.
 std::vector<atl03::SurfaceClass> classify_windows(nn::Sequential& model,
                                                   const resample::FeatureScaler& scaler,
                                                   const std::vector<resample::FeatureRow>& features,
-                                                  std::size_t window,
-                                                  std::size_t batch_windows = 256);
+                                                  std::size_t window);
 
 /// The paper's deep-model path: a checkout pool of `nn::Sequential` replicas
 /// (every call of the factory must produce numerically identical models).
-/// Each classify() runs all of its windows, batch by batch, on one
-/// checked-out replica in the calling thread; concurrency comes from the
-/// callers (scheduler workers), never from inside a call. Predictions are
-/// bit-identical for any replica count.
+/// Each classify() is `classify_windows` on one checked-out replica in the
+/// calling thread; concurrency comes from the callers (scheduler workers),
+/// never from inside a call. Predictions are bit-identical for any replica
+/// count.
 class NnBackend : public ClassifierBackend {
  public:
   using ModelFactory = std::function<nn::Sequential()>;
@@ -73,8 +73,8 @@ class NnBackend : public ClassifierBackend {
   /// counted into `is2_serve_inference_{batches,windows}_total` of
   /// `registry` (nullptr = a private registry).
   NnBackend(ModelFactory factory, resample::FeatureScaler scaler, std::size_t window,
-            std::size_t replicas = 1, std::size_t batch_windows = 256,
-            std::uint64_t weights_version = 0, obs::Registry* registry = nullptr);
+            std::size_t replicas = 1, std::uint64_t weights_version = 0,
+            obs::Registry* registry = nullptr);
 
   std::vector<atl03::SurfaceClass> classify(
       const std::vector<resample::FeatureRow>& features) override;
@@ -95,7 +95,6 @@ class NnBackend : public ClassifierBackend {
 
   resample::FeatureScaler scaler_;
   std::size_t window_;
-  std::size_t batch_windows_;
   std::uint64_t weights_version_;
 
   util::Mutex replica_mutex_;

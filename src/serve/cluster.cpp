@@ -6,24 +6,25 @@
 #include <tuple>
 #include <utility>
 
+#include "util/backoff.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace is2::serve {
 
-double ClusterMetrics::imbalance() const {
-  double max = 0.0, sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    if (i < live.size() && !live[i]) continue;
-    const double r = static_cast<double>(routed[i]);
-    max = std::max(max, r);
-    sum += r;
-    ++n;
-  }
-  if (n == 0 || sum == 0.0) return 0.0;
-  return max / (sum / static_cast<double>(n));
-}
+namespace {
+
+/// Keys the popularity ledger holds before it resets (a crude decay).
+constexpr std::size_t kPopularityCapacity = 1u << 16;
+/// Hot ledger keys re-replicated off a freshly quarantined node onto their
+/// new owners — bounds the healing work done per transition.
+constexpr std::size_t kRereplicateLimit = 64;
+/// Peer-fetch resilience: retries per peer after a thrown probe, and the
+/// (seeded) backoff between them.
+constexpr std::size_t kPeerRetries = 1;
+constexpr util::BackoffConfig kPeerBackoff{0.2, 5.0};
+
+}  // namespace
 
 std::uint64_t Cluster::ring_hash(const ProductKey& key) {
   // ProductKeyHash already mixes every key field; one more mix round
@@ -47,14 +48,14 @@ std::uint64_t Cluster::routing_hash(const ProductKey& key) const {
   shallow.beam = key.beam;
   shallow.backend = key.backend;
   shallow.kind = pipeline::ProductKind::classification;
-  return ring_hash(key_for(shallow));  // takes mutex_: never call under it
+  return ring_hash(key_for(shallow));
 }
 
 Cluster::Cluster(const ClusterConfig& config, const core::PipelineConfig& pipeline,
                  const geo::GeoCorrections& corrections, const ShardIndex& index,
                  GranuleService::ModelFactory model_factory, resample::FeatureScaler scaler,
                  GranuleService::TreeFactory tree_factory)
-    : config_(config), ring_(config.vnodes) {
+    : config_(config) {
   const std::size_t n = config_.nodes ? config_.nodes : 1;
   config_.nodes = n;
   peer_probe_total_ = &registry_.counter("is2_cluster_peer_probe_total", {},
@@ -79,9 +80,9 @@ Cluster::Cluster(const ClusterConfig& config, const core::PipelineConfig& pipeli
   quarantined_gauge_ = &registry_.gauge("is2_cluster_quarantined_nodes", {},
                                         "nodes out of the ring but revivable");
 
-  if (!config_.shared_disk_dir.empty()) {
-    disk_ = std::make_unique<DiskCache>(
-        DiskCacheConfig{config_.shared_disk_dir, config_.shared_disk_bytes, &registry_});
+  if (!config_.node.disk_cache_dir.empty()) {
+    disk_ = std::make_unique<DiskCache>(DiskCacheConfig{
+        config_.node.disk_cache_dir, config_.node.disk_cache_bytes, &registry_});
   }
 
   // Every node gets the same config/model (keys must be fleet-portable) and
@@ -93,9 +94,7 @@ Cluster::Cluster(const ClusterConfig& config, const core::PipelineConfig& pipeli
 
   nodes_.reserve(n);
   routed_total_.reserve(n);
-  live_.assign(n, true);
-  quarantined_.assign(n, false);
-  killed_.assign(n, false);
+  state_.assign(n, NodeState::live);
   consecutive_failures_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     routed_total_.push_back(&registry_.counter("is2_cluster_routed_total",
@@ -110,23 +109,12 @@ Cluster::Cluster(const ClusterConfig& config, const core::PipelineConfig& pipeli
 
 Cluster::~Cluster() { shutdown(); }
 
-std::size_t Cluster::first_live_locked() const {
-  for (std::size_t i = 0; i < live_.size(); ++i)
-    if (live_[i]) return i;
-  throw std::runtime_error("Cluster: no live nodes");
-}
-
 ProductKey Cluster::key_for(const ProductRequest& request) const {
-  std::size_t i;
-  {
-    util::MutexLock lock(mutex_);
-    i = first_live_locked();
-  }
-  return nodes_[i]->key_for(request);
+  return nodes_.front()->key_for(request);
 }
 
 std::uint32_t Cluster::owner_of(const ProductKey& key) const {
-  const std::uint64_t h = routing_hash(key);  // before the lock: it locks too
+  const std::uint64_t h = routing_hash(key);
   util::MutexLock lock(mutex_);
   return ring_.owner(h);
 }
@@ -139,14 +127,12 @@ std::vector<std::uint32_t> Cluster::replica_set_of(const ProductKey& key) const 
 
 std::size_t Cluster::live_count() const {
   util::MutexLock lock(mutex_);
-  std::size_t n = 0;
-  for (bool l : live_) n += l ? 1 : 0;
-  return n;
+  return static_cast<std::size_t>(std::count(state_.begin(), state_.end(), NodeState::live));
 }
 
 bool Cluster::is_live(std::size_t i) const {
   util::MutexLock lock(mutex_);
-  return i < live_.size() && live_[i];
+  return i < state_.size() && state_[i] == NodeState::live;
 }
 
 Cluster::Route Cluster::route(const ProductRequest& request) {
@@ -159,7 +145,7 @@ Cluster::Route Cluster::route(const ProductRequest& request) {
   // Approximate popularity: reset-on-full is a crude decay, but the hot set
   // only steers replica round-robin — a wrong "cold" verdict just means
   // owner-routing, never a wrong answer.
-  if (popularity_.size() >= config_.popularity_capacity) popularity_.clear();
+  if (popularity_.size() >= kPopularityCapacity) popularity_.clear();
   std::uint64_t& count = popularity_[key];
   ++count;
   if (count == config_.hot_key_threshold) hot_key_total_->inc();
@@ -184,15 +170,15 @@ bool Cluster::peer_fetch(const ProductKey& key, std::uint64_t hash, std::size_t 
     if (config_.replication_factor < 2 || ring_.num_nodes() == 0) return false;
     for (std::uint32_t r : ring_.replicas(hash, config_.replication_factor)) {
       const auto i = static_cast<std::size_t>(r);
-      if (i != target && live_[i]) peers.push_back(i);
+      if (i != target && state_[i] == NodeState::live) peers.push_back(i);
     }
   }
   // The probe phase burns the request's deadline budget: once it expires,
   // stop probing and let the target build — a late peer hit helps nobody.
   util::Deadline deadline(budget_ms);
-  util::Backoff backoff(config_.peer_backoff, hash);
+  util::Backoff backoff(kPeerBackoff, hash);
   for (std::size_t p : peers) {
-    for (std::size_t attempt = 0; attempt <= config_.peer_retries; ++attempt) {
+    for (std::size_t attempt = 0; attempt <= kPeerRetries; ++attempt) {
       if (deadline.expired()) return false;
       peer_probe_total_->inc();
       try {
@@ -210,7 +196,7 @@ bool Cluster::peer_fetch(const ProductKey& key, std::uint64_t hash, std::size_t 
         break;  // clean miss: nothing to retry, try the next peer
       } catch (const std::exception&) {
         note_failure(p);
-        if (attempt < config_.peer_retries && !deadline.expired()) backoff.sleep();
+        if (attempt < kPeerRetries && !deadline.expired()) backoff.sleep();
       }
     }
   }
@@ -227,12 +213,14 @@ std::vector<std::size_t> Cluster::candidates_for(const Route& r) const {
   const std::size_t want = std::max<std::size_t>(config_.replication_factor, 2);
   for (std::uint32_t rep : ring_.replicas(r.hash, want)) {
     const auto i = static_cast<std::size_t>(rep);
-    if (i != r.target && live_[i]) out.push_back(i);
+    if (i != r.target && state_[i] == NodeState::live) out.push_back(i);
   }
   return out;
 }
 
-ProductFuture Cluster::submit(const ProductRequest& request) {
+template <typename Send>
+std::invoke_result_t<Send&, GranuleService&, const ProductRequest&> Cluster::dispatch(
+    const ProductRequest& request, Send send) {
   const Route r = route(request);
   util::Deadline deadline(request.deadline_ms);
   std::exception_ptr last;
@@ -245,9 +233,9 @@ ProductFuture Cluster::submit(const ProductRequest& request) {
       // sees what is left after routing, probing and any failover here.
       ProductRequest attempt = request;
       if (deadline.limited()) attempt.deadline_ms = std::max(0.01, deadline.remaining_ms());
-      ProductFuture fut = nodes_[node]->submit(attempt);
+      auto out = send(*nodes_[node], attempt);
       note_success(node);
-      return fut;
+      return out;
     } catch (const std::exception&) {
       last = std::current_exception();
       note_failure(node);
@@ -256,30 +244,20 @@ ProductFuture Cluster::submit(const ProductRequest& request) {
   std::rethrow_exception(last);  // candidates_for never returns empty
 }
 
+ProductFuture Cluster::submit(const ProductRequest& request) {
+  return dispatch(request, [](GranuleService& node, const ProductRequest& attempt) {
+    return node.submit(attempt);
+  });
+}
+
 std::optional<ProductFuture> Cluster::try_submit(const ProductRequest& request,
                                                  std::optional<Priority>* shed_class) {
-  const Route r = route(request);
-  util::Deadline deadline(request.deadline_ms);
-  std::exception_ptr last;
-  for (std::size_t node : candidates_for(r)) {
-    try {
-      util::fault::inject("node.submit", static_cast<int>(node));
-      if (!nodes_[node]->peek_ram(r.key))
-        peer_fetch(r.key, r.hash, node, deadline.limited() ? deadline.remaining_ms() : 0.0);
-      ProductRequest attempt = request;
-      if (deadline.limited()) attempt.deadline_ms = std::max(0.01, deadline.remaining_ms());
-      // std::nullopt is a shed — a policy answer from a healthy node, not a
-      // failure — so it returns as-is instead of failing over (a full queue
-      // elsewhere would shed too; retrying is the client's call).
-      auto out = nodes_[node]->try_submit(attempt, shed_class);
-      note_success(node);
-      return out;
-    } catch (const std::exception&) {
-      last = std::current_exception();
-      note_failure(node);
-    }
-  }
-  std::rethrow_exception(last);
+  // std::nullopt is a shed — a policy answer from a healthy node, not a
+  // failure — so it returns as-is instead of failing over (a full queue
+  // elsewhere would shed too; retrying is the client's call).
+  return dispatch(request, [shed_class](GranuleService& node, const ProductRequest& attempt) {
+    return node.try_submit(attempt, shed_class);
+  });
 }
 
 std::size_t Cluster::warm(const std::vector<ProductRequest>& requests, mapred::Engine& engine) {
@@ -308,10 +286,8 @@ std::size_t Cluster::warm(const std::vector<ProductRequest>& requests, mapred::E
 void Cluster::kill_node(std::size_t i) {
   {
     util::MutexLock lock(mutex_);
-    if (i >= nodes_.size() || killed_[i]) return;
-    live_[i] = false;
-    killed_[i] = true;
-    quarantined_[i] = false;  // a quarantined node can still be killed
+    if (i >= nodes_.size() || state_[i] == NodeState::killed) return;
+    state_[i] = NodeState::killed;  // a quarantined node can still be killed
     consecutive_failures_[i] = 0;
     ring_.remove(static_cast<std::uint32_t>(i));  // no-op if quarantine removed it
     sync_gauges_locked();
@@ -322,20 +298,18 @@ void Cluster::kill_node(std::size_t i) {
 }
 
 void Cluster::sync_gauges_locked() {
-  std::size_t alive = 0, quarantined = 0;
-  for (bool l : live_) alive += l ? 1 : 0;
-  for (bool q : quarantined_) quarantined += q ? 1 : 0;
-  live_nodes_gauge_->set(static_cast<double>(alive));
-  quarantined_gauge_->set(static_cast<double>(quarantined));
+  live_nodes_gauge_->set(
+      static_cast<double>(std::count(state_.begin(), state_.end(), NodeState::live)));
+  quarantined_gauge_->set(
+      static_cast<double>(std::count(state_.begin(), state_.end(), NodeState::quarantined)));
 }
 
 void Cluster::quarantine_node(std::size_t i) {
   std::vector<ProductKey> hot;
   {
     util::MutexLock lock(mutex_);
-    if (i >= nodes_.size() || !live_[i]) return;  // already out or killed
-    live_[i] = false;
-    quarantined_[i] = true;
+    if (i >= nodes_.size() || state_[i] != NodeState::live) return;  // already out
+    state_[i] = NodeState::quarantined;
     consecutive_failures_[i] = 0;
     ring_.remove(static_cast<std::uint32_t>(i));
     quarantine_total_->inc();
@@ -347,37 +321,31 @@ void Cluster::quarantine_node(std::size_t i) {
     for (const auto& [key, count] : popularity_) {
       if (count < config_.hot_key_threshold) continue;
       hot.push_back(key);
-      if (hot.size() >= config_.rereplicate_limit) break;
+      if (hot.size() >= kRereplicateLimit) break;
     }
   }
   // Re-replicate outside the lock: the quarantined node is not drained —
   // its RAM tier is intact and peek_ram stays safe — so every hot key it
   // holds is copied to the key's new owner before traffic misses there.
-  try {
-    for (const ProductKey& key : hot) {
-      const std::uint64_t h = routing_hash(key);  // takes mutex_; not held here
-      auto hit = nodes_[i]->peek_ram(key);
-      if (!hit) continue;
-      std::size_t new_owner;
-      {
-        util::MutexLock lock(mutex_);
-        if (ring_.num_nodes() == 0) break;
-        new_owner = ring_.owner(h);
-      }
-      nodes_[new_owner]->promote_ram(key, std::move(hit));
-      rereplicated_total_->inc();
+  for (const ProductKey& key : hot) {
+    const std::uint64_t h = routing_hash(key);
+    auto hit = nodes_[i]->peek_ram(key);
+    if (!hit) continue;
+    std::size_t new_owner;
+    {
+      util::MutexLock lock(mutex_);
+      if (ring_.num_nodes() == 0) break;  // fleet dark: nowhere to heal to
+      new_owner = ring_.owner(h);
     }
-  } catch (const std::exception&) {
-    // Fleet went fully dark mid-heal (routing_hash needs a live node for
-    // key derivation): nothing left to re-replicate to.
+    nodes_[new_owner]->promote_ram(key, std::move(hit));
+    rereplicated_total_->inc();
   }
 }
 
 void Cluster::revive_node(std::size_t i) {
   util::MutexLock lock(mutex_);
-  if (i >= nodes_.size() || !quarantined_[i]) return;
-  quarantined_[i] = false;
-  live_[i] = true;
+  if (i >= nodes_.size() || state_[i] != NodeState::quarantined) return;
+  state_[i] = NodeState::live;
   consecutive_failures_[i] = 0;
   ring_.add(static_cast<std::uint32_t>(i));
   revive_total_->inc();
@@ -386,7 +354,7 @@ void Cluster::revive_node(std::size_t i) {
 
 bool Cluster::is_quarantined(std::size_t i) const {
   util::MutexLock lock(mutex_);
-  return i < quarantined_.size() && quarantined_[i];
+  return i < state_.size() && state_[i] == NodeState::quarantined;
 }
 
 std::size_t Cluster::probe_health() {
@@ -396,10 +364,7 @@ std::size_t Cluster::probe_health() {
   sentinel.granule_id = "__health_probe__";
   std::size_t healthy = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    {
-      util::MutexLock lock(mutex_);
-      if (!live_[i]) continue;  // dead and quarantined nodes are never probed
-    }
+    if (!is_live(i)) continue;  // dead and quarantined nodes are never probed
     try {
       util::fault::inject("peer.peek", static_cast<int>(i));
       (void)nodes_[i]->peek_ram(sentinel);
@@ -417,7 +382,7 @@ void Cluster::note_failure(std::size_t i) {
   {
     util::MutexLock lock(mutex_);
     node_failure_total_->inc();
-    if (i >= consecutive_failures_.size() || !live_[i]) return;
+    if (i >= state_.size() || state_[i] != NodeState::live) return;
     ++consecutive_failures_[i];
     quarantine =
         config_.quarantine_after > 0 && consecutive_failures_[i] >= config_.quarantine_after;
@@ -430,30 +395,23 @@ void Cluster::note_success(std::size_t i) {
   if (i < consecutive_failures_.size()) consecutive_failures_[i] = 0;
 }
 
-ClusterMetrics Cluster::metrics() const {
-  ClusterMetrics out;
+double Cluster::imbalance() const {
+  std::vector<NodeState> state;
   {
     util::MutexLock lock(mutex_);
-    out.live = live_;
-    out.quarantined = quarantined_;
+    state = state_;
   }
-  out.nodes.reserve(nodes_.size());
-  out.routed.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    out.nodes.push_back(nodes_[i]->metrics());
-    out.routed.push_back(routed_total_[i]->value());
-    out.requests += out.routed.back();
+  double max = 0.0, sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (state[i] != NodeState::live) continue;
+    const double r = static_cast<double>(routed_total_[i]->value());
+    max = std::max(max, r);
+    sum += r;
+    ++n;
   }
-  out.peer_probes = peer_probe_total_->value();
-  out.peer_fetches = peer_fetch_total_->value();
-  out.replica_routes = replica_route_total_->value();
-  out.hot_keys = hot_key_total_->value();
-  out.node_failures = node_failure_total_->value();
-  out.quarantines = quarantine_total_->value();
-  out.revives = revive_total_->value();
-  out.rereplicated_keys = rereplicated_total_->value();
-  if (disk_) out.shared_disk = disk_->stats();
-  return out;
+  if (n == 0 || sum == 0.0) return 0.0;
+  return max / (sum / static_cast<double>(n));
 }
 
 obs::RegistrySnapshot Cluster::obs_snapshot() const {

@@ -1,9 +1,9 @@
 // serve::Cluster — an in-process fleet of serving nodes behind a
 // consistent-hash router. The scale-out layer of `src/serve/`: N
 // `GranuleService` nodes (each with its own RAM tier, scheduler and obs
-// registry) held behind the `NodeHandle` interface, one shared `DiskCache`
-// directory as the fleet-wide cold tier, and a router that turns a
-// `ProductRequest` into "which node serves this key".
+// registry), one shared `DiskCache` directory as the fleet-wide cold tier,
+// and a router that turns a `ProductRequest` into "which node serves this
+// key".
 //
 // Routing. The request's *shallow* (classification-kind) `ProductKey`
 // hashes onto a `HashRing` (virtual nodes; see hash_ring.hpp). Because
@@ -41,22 +41,21 @@
 // re-sorting by (name, labels) so `obs::to_prometheus` groups families
 // correctly.
 //
-// Threading: submit/try_submit/warm/metrics/obs_snapshot are thread-safe;
-// the router mutex covers only ring/popularity bookkeeping, never a build.
+// Threading: submit/try_submit/warm/obs_snapshot are thread-safe; the
+// router mutex covers only ring/popularity bookkeeping, never a build.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
 #include "serve/hash_ring.hpp"
-#include "serve/node.hpp"
 #include "serve/service.hpp"
-#include "util/backoff.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -64,58 +63,25 @@ namespace is2::serve {
 
 struct ClusterConfig {
   std::size_t nodes = 3;
-  std::size_t vnodes = 128;  ///< ring points per node (balance knob)
   /// Replica-set size for hot keys and peer-fetch probing. 1 disables both
   /// (owner-only routing, no peers to probe).
   std::size_t replication_factor = 2;
   /// Requests for one key before it counts as hot and spreads over its
-  /// replica set. The popularity ledger is approximate: bounded to
-  /// `popularity_capacity` keys and reset when full (a slow decay).
+  /// replica set. The popularity ledger is approximate: bounded to 65536
+  /// keys and reset when full (a slow decay).
   std::uint64_t hot_key_threshold = 16;
-  std::size_t popularity_capacity = 1u << 16;
   /// Self-healing: a "node failure" is a thrown submit or probe against a
   /// live node (injected fault, dying service). This many *consecutive*
   /// failures quarantine the node — out of the ring but not drained, RAM
   /// intact, revivable. 0 disables the automatic ledger (explicit
   /// quarantine_node still works).
   std::uint64_t quarantine_after = 3;
-  /// Hot ledger keys re-replicated off a freshly quarantined node onto
-  /// their new owners — bounds the healing work done per transition.
-  std::size_t rereplicate_limit = 64;
-  /// Peer-fetch resilience: retries per peer after a thrown probe, and the
-  /// (seeded) backoff between them. The whole probe phase also respects the
-  /// request's remaining deadline budget.
-  std::size_t peer_retries = 1;
-  util::BackoffConfig peer_backoff{0.2, 5.0};
-  /// Per-node service knobs. disk_cache_dir / disk_cache_bytes / shared_disk
-  /// are overridden by the cluster (nodes must not each open the shared
-  /// directory); everything else applies to every node identically —
-  /// identical config + model is what makes keys and products portable
-  /// across the fleet.
+  /// Per-node service knobs, identical on every node — identical config +
+  /// model is what makes keys and products portable across the fleet.
+  /// disk_cache_dir / disk_cache_bytes configure the one fleet-wide cold
+  /// tier the cluster owns and lends to every node (empty dir = RAM tiers
+  /// only); nodes never open a directory of their own.
   ServiceConfig node;
-  /// Fleet-wide cold tier directory; empty = RAM tiers only.
-  std::string shared_disk_dir;
-  std::size_t shared_disk_bytes = 1ull << 30;
-};
-
-struct ClusterMetrics {
-  std::vector<ServiceMetrics> nodes;  ///< per node, dead nodes included
-  std::vector<bool> live;
-  std::vector<bool> quarantined;      ///< in the fleet but out of the ring
-  std::vector<std::uint64_t> routed;  ///< requests routed per node
-  std::uint64_t requests = 0;
-  std::uint64_t peer_probes = 0;    ///< peek_ram calls against peers
-  std::uint64_t peer_fetches = 0;   ///< probes that hit and promoted
-  std::uint64_t replica_routes = 0; ///< hot-key requests sent off-owner
-  std::uint64_t hot_keys = 0;       ///< keys promoted past the threshold
-  std::uint64_t node_failures = 0;  ///< thrown submits/probes recorded
-  std::uint64_t quarantines = 0;    ///< live -> quarantined transitions
-  std::uint64_t revives = 0;        ///< quarantined -> live transitions
-  std::uint64_t rereplicated_keys = 0;  ///< hot keys healed off quarantined nodes
-  DiskCacheStats shared_disk;       ///< zeroed when no shared tier
-  /// Max/mean routed-requests ratio over live nodes (1.0 = perfectly even);
-  /// 0 when nothing was routed.
-  double imbalance() const;
 };
 
 class Cluster {
@@ -148,7 +114,8 @@ class Cluster {
   /// stages nobody may ask for. Returns products actually built.
   std::size_t warm(const std::vector<ProductRequest>& requests, mapred::Engine& engine);
 
-  /// Cache key a request resolves to (identical on every node).
+  /// Cache key a request resolves to (identical on every node, so node 0
+  /// derives it — a drained node still answers key_for).
   ProductKey key_for(const ProductRequest& request) const;
   /// Ring owner / replica set of a key (exposed for tests and ops).
   std::uint32_t owner_of(const ProductKey& key) const;
@@ -159,7 +126,7 @@ class Cluster {
   bool is_live(std::size_t i) const;
   /// Direct node access (tests, metrics drill-down). Valid for the cluster
   /// lifetime, even after kill_node.
-  NodeHandle& node(std::size_t i) { return *nodes_.at(i); }
+  GranuleService& node(std::size_t i) { return *nodes_.at(i); }
 
   /// Take a node out of the fleet: remove it from the ring (its key ranges
   /// re-route with minimal churn), then drain it. Idempotent and terminal —
@@ -169,10 +136,10 @@ class Cluster {
   void kill_node(std::size_t i);
 
   /// Take a flapping node out of the ring WITHOUT draining it: its RAM tier
-  /// stays intact and revive_node() brings it back. Hot ledger keys are
-  /// re-replicated onto their new owners (bounded by rereplicate_limit) so
-  /// the fleet keeps fast-hitting what the node held. Idempotent; no-op on
-  /// a node that is already out (quarantined or killed).
+  /// stays intact and revive_node() brings it back. Hot ledger keys (at
+  /// most 64 per transition) are re-replicated onto their new owners so the
+  /// fleet keeps fast-hitting what the node held. Idempotent; no-op on a
+  /// node that is already out (quarantined or killed).
   void quarantine_node(std::size_t i);
 
   /// Rejoin a quarantined node. HashRing add/remove are exact inverses, so
@@ -189,17 +156,20 @@ class Cluster {
   /// of healthy probes this sweep.
   std::size_t probe_health();
 
-  ClusterMetrics metrics() const;
+  /// Max/mean of `is2_cluster_routed_total` over the live nodes (1.0 =
+  /// perfectly even); 0 when nothing was routed to a live node.
+  double imbalance() const;
 
-  /// Router + shared-disk instruments only (`is2_cluster_*`); node
-  /// instruments live in each node's registry.
+  /// Router + shared-disk instruments only (`is2_cluster_*` and the shared
+  /// tier's `is2_cache_*{tier="disk"}`); node instruments live in each
+  /// node's registry.
   const obs::Registry& registry() const { return registry_; }
 
   /// Fleet-wide exposition: cluster registry points plus every node's
   /// snapshot labeled `node="node<i>"`, re-sorted by (name, labels).
   obs::RegistrySnapshot obs_snapshot() const;
 
-  /// Shared cold tier (nullptr when shared_disk_dir is empty).
+  /// Shared cold tier (nullptr when node.disk_cache_dir is empty).
   const DiskCache* shared_disk() const { return disk_.get(); }
 
   /// Drain pending disk write-backs on every live node (tests / restarts).
@@ -209,6 +179,10 @@ class Cluster {
   void shutdown();
 
  private:
+  /// live: in the ring. quarantined: out of the ring, not drained,
+  /// revivable. killed: drained, terminal.
+  enum class NodeState : std::uint8_t { live, quarantined, killed };
+
   struct Route {
     ProductKey key;           ///< exact key (cache lookups, popularity)
     std::uint64_t hash = 0;   ///< shallow-key ring hash (placement)
@@ -217,11 +191,19 @@ class Cluster {
   /// Pick the target node for a request (ring owner, or replica-set
   /// round-robin once hot) and update popularity/routing counters.
   Route route(const ProductRequest& request);
+  /// The one dispatch path of submit and try_submit: route, then walk the
+  /// failover candidates — peer-fetch into the candidate on a RAM miss and
+  /// hand it the request with the remaining deadline budget through `send`.
+  /// A throw (`node.submit` fault, dying node) feeds the failure ledger and
+  /// moves on to the next candidate; the last throw propagates.
+  template <typename Send>
+  std::invoke_result_t<Send&, GranuleService&, const ProductRequest&> dispatch(
+      const ProductRequest& request, Send send);
   /// On a target RAM miss, probe the key's other live replicas and promote
   /// a hit into the target. Best effort; returns whether a peer hit. A
-  /// thrown probe (`peer.peek` fault) is retried `peer_retries` times with
-  /// backoff, all bounded by `budget_ms` (0 = unlimited) — the request's
-  /// remaining deadline.
+  /// thrown probe (`peer.peek` fault) is retried once with backoff, all
+  /// bounded by `budget_ms` (0 = unlimited) — the request's remaining
+  /// deadline.
   bool peer_fetch(const ProductKey& key, std::uint64_t hash, std::size_t target,
                   double budget_ms);
   /// Failover order for a routed request: target first, then the rest of
@@ -232,13 +214,10 @@ class Cluster {
   void note_failure(std::size_t i);
   void note_success(std::size_t i);
   void sync_gauges_locked() REQUIRES(mutex_);
-  /// Throws when the fleet is down.
-  std::size_t first_live_locked() const REQUIRES(mutex_);
   static std::uint64_t ring_hash(const ProductKey& key);
   /// Ring position of a key: the hash of its classification-kind sibling,
-  /// so all depths/methods of one granule co-locate. Takes mutex_ (via
-  /// key_for) — never call while holding it.
-  std::uint64_t routing_hash(const ProductKey& key) const EXCLUDES(mutex_);
+  /// so all depths/methods of one granule co-locate.
+  std::uint64_t routing_hash(const ProductKey& key) const;
 
   ClusterConfig config_;
 
@@ -260,12 +239,9 @@ class Cluster {
   std::unique_ptr<DiskCache> disk_;  ///< shared cold tier; outlives nodes_
   std::vector<std::unique_ptr<GranuleService>> nodes_;
 
-  mutable util::Mutex mutex_;  ///< ring + popularity + live set + ledger
+  mutable util::Mutex mutex_;  ///< ring + popularity + node states + ledger
   HashRing ring_ GUARDED_BY(mutex_);
-  std::vector<bool> live_ GUARDED_BY(mutex_);
-  /// Disjoint from killed_; both imply !live_.
-  std::vector<bool> quarantined_ GUARDED_BY(mutex_);
-  std::vector<bool> killed_ GUARDED_BY(mutex_);  ///< drained, terminal
+  std::vector<NodeState> state_ GUARDED_BY(mutex_);
   std::vector<std::uint64_t> consecutive_failures_ GUARDED_BY(mutex_);
   std::unordered_map<ProductKey, std::uint64_t, ProductKeyHash> popularity_
       GUARDED_BY(mutex_);

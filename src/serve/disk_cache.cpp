@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "h5lite/h5file.hpp"
+#include "util/backoff.hpp"
 #include "util/fault.hpp"
 
 namespace is2::serve {
@@ -24,6 +25,13 @@ namespace {
 constexpr char kMagic[4] = {'I', 'S', '2', 'P'};
 ///< magic..backend, before the granule id
 constexpr std::size_t kIdentityPrefixBytes = 4 + 4 + 8 + 1 + 1 + 1;
+/// A failed file read (IO error, torn read under concurrent eviction,
+/// injected `disk.read` fault) is retried this many times with backoff
+/// before the delete-as-corrupt path runs: a genuinely corrupt file fails
+/// every attempt and is still dropped, but a transient fault costs one short
+/// sleep instead of a rebuilt product.
+constexpr std::size_t kReadRetries = 1;
+constexpr util::BackoffConfig kReadBackoff{0.2, 5.0};
 
 /// Fixed-size header fields shared by serialize/deserialize/manifest-scan.
 struct Identity {
@@ -301,7 +309,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   }
 
   std::shared_ptr<GranuleProduct> product;
-  util::Backoff backoff(config_.read_backoff, ProductKeyHash{}(key) ^ gen);
+  util::Backoff backoff(kReadBackoff, ProductKeyHash{}(key) ^ gen);
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       util::fault::inject("disk.read");
@@ -310,7 +318,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
       product = std::make_shared<GranuleProduct>(deserialize(bytes, key));
       break;
     } catch (const std::exception&) {
-      if (attempt < config_.read_retries) {
+      if (attempt < kReadRetries) {
         // Maybe transient (flaky IO, injected fault, eviction race): retry
         // after a backoff against a *fresh* snapshot — the entry may have
         // been republished (newer gen, read that) or evicted (miss).

@@ -49,7 +49,6 @@
 
 #include "obs/registry.hpp"
 #include "serve/product_cache.hpp"
-#include "util/backoff.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -61,13 +60,6 @@ struct DiskCacheConfig {
   /// Registry of the `is2_cache_*{tier="disk"}` instruments (nullptr = a
   /// private one). It must outlive the cache.
   obs::Registry* registry = nullptr;
-  /// A failed file read (IO error, torn read under concurrent eviction,
-  /// injected `disk.read` fault) is retried this many times with backoff
-  /// before the delete-as-corrupt path runs — a genuinely corrupt file fails
-  /// every attempt and is still dropped, but a transient fault costs one
-  /// short sleep instead of a rebuilt product.
-  std::size_t read_retries = 1;
-  util::BackoffConfig read_backoff{0.2, 5.0};
 };
 
 struct DiskCacheStats {

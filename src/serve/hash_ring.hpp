@@ -33,7 +33,10 @@ namespace is2::serve {
 
 class HashRing {
  public:
-  explicit HashRing(std::size_t vnodes_per_node = 128);
+  /// Ring points per node by default, and the count `serve::Cluster` uses.
+  static constexpr std::size_t kDefaultVnodes = 128;
+
+  explicit HashRing(std::size_t vnodes_per_node = kDefaultVnodes);
 
   /// Add a node's vnode points; no-op when already present.
   void add(std::uint32_t node);

@@ -33,7 +33,7 @@ BatchScheduler::BatchScheduler(const Config& config, Builder builder)
     : config_(config),
       builder_(std::move(builder)),
       registry_(obs::use_or_own(config.registry, owned_registry_)),
-      queue_(config.queue_capacity, config.class_weights, depth_gauges(registry_)),
+      queue_(config.queue_capacity, depth_gauges(registry_)),
       pool_(config.workers ? config.workers : 1, "sched") {
   if (!builder_) throw std::invalid_argument("BatchScheduler: null builder");
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {

@@ -11,11 +11,12 @@
 //    from: one deque per `Priority` sharing a total capacity. push() blocks
 //    while the queue is full (backpressure toward the client); pop() blocks
 //    while empty and drains remaining items after close() so shutdown never
-//    drops accepted work. Dequeue is weighted round-robin (so a flood of
-//    interactive work cannot starve background forever, and vice versa),
-//    and try_push displaces instead of blocking: when full, the newest
-//    queued item of the lowest class strictly below the incoming one is shed
-//    to make room (background first). promote() moves a queued item to a
+//    drops accepted work. Dequeue is weighted round-robin over the fixed
+//    class weights {8, 3, 1} (so a flood of interactive work cannot starve
+//    background forever, and vice versa), and try_push displaces instead of
+//    blocking: when full, the newest queued item of the lowest class
+//    strictly below the incoming one is shed to make room (background
+//    first). promote() moves a queued item to a
 //    higher class when an important requester coalesces onto a job queued
 //    by a less important one. Optional per-class depth gauges are set under
 //    the queue lock whenever a lane changes.
@@ -62,6 +63,9 @@ inline constexpr std::size_t kPriorityClasses = 3;
 
 /// Per-class counts/weights, indexed by static_cast<std::size_t>(Priority).
 using ClassWeights = std::array<std::size_t, kPriorityClasses>;
+/// Weighted-round-robin dequeues granted per class per cycle (interactive,
+/// batch, background).
+inline constexpr ClassWeights kClassWeights = {8, 3, 1};
 /// Per-class queue-depth gauges (a nullptr entry is not published).
 using DepthGauges = std::array<obs::Gauge*, kPriorityClasses>;
 
@@ -129,16 +133,10 @@ using ProductFuture = std::shared_future<ProductResponse>;
 template <typename T>
 class PriorityQueue {
  public:
-  using Weights = ClassWeights;
-
-  /// `weights` are dequeues granted per class per round-robin cycle
-  /// (work-conserving: an empty class forfeits its turns, and a zero weight
-  /// only defers a non-empty class until every other class is empty or out
-  /// of credit).
-  explicit PriorityQueue(std::size_t capacity, Weights weights = {8, 3, 1},
-                         DepthGauges depth = {})
-      : capacity_(capacity ? capacity : 1), weights_(weights), depth_(depth),
-        credits_(weights) {}
+  /// Each cycle grants every class `kClassWeights` dequeues
+  /// (work-conserving: an empty class forfeits its turns).
+  explicit PriorityQueue(std::size_t capacity, DepthGauges depth = {})
+      : capacity_(capacity ? capacity : 1), depth_(depth) {}
 
   /// Blocking push; waits for total space. Returns false iff closed.
   bool push(T item, Priority cls) {
@@ -218,16 +216,9 @@ class PriorityQueue {
           break;
         }
       }
-      if (pick == kPriorityClasses) credits_ = weights_;  // cycle exhausted
+      if (pick == kPriorityClasses) credits_ = kClassWeights;  // cycle exhausted
     }
-    if (pick == kPriorityClasses) {  // only zero-weight classes are non-empty
-      for (std::size_t c = 0; c < kPriorityClasses; ++c)
-        if (!items_[c].empty()) {
-          pick = c;
-          break;
-        }
-    }
-    if (credits_[pick] > 0) --credits_[pick];
+    --credits_[pick];
     std::pair<T, Priority> out{std::move(items_[pick].front()), static_cast<Priority>(pick)};
     items_[pick].pop_front();
     publish_depth_locked(out.second);
@@ -273,13 +264,12 @@ class PriorityQueue {
   }
 
   const std::size_t capacity_;
-  const Weights weights_;
   const DepthGauges depth_;
   mutable util::Mutex mutex_;
   util::CondVar item_cv_;   ///< signaled on push/close
   util::CondVar space_cv_;  ///< signaled on pop/close
   std::array<std::deque<T>, kPriorityClasses> items_ GUARDED_BY(mutex_);
-  Weights credits_ GUARDED_BY(mutex_);  ///< remaining dequeues this cycle
+  ClassWeights credits_ GUARDED_BY(mutex_) = kClassWeights;  ///< left this cycle
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 
@@ -313,9 +303,6 @@ class BatchScheduler {
   struct Config {
     std::size_t workers = 4;
     std::size_t queue_capacity = 64;
-    /// Weighted-round-robin dequeue shares per class (interactive, batch,
-    /// background) per cycle.
-    ClassWeights class_weights = {8, 3, 1};
     /// Called once per successfully served job (not per coalesced waiter)
     /// with the submitting request's class, the job's service time (queue
     /// wait + execution — the quantity the weighted dequeue and

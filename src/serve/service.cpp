@@ -136,8 +136,7 @@ GranuleService::GranuleService(const ServiceConfig& config,
     : config_(config),
       pipeline_(pipeline),
       index_(std::move(index)),
-      tracer_(obs::TraceConfig{config.trace_ring_capacity, config.trace_sample_rate,
-                               config.trace_slow_ms}),
+      tracer_(obs::TraceConfig{.sample_rate = config.trace_sample_rate}),
       builder_(pipeline, corrections),  // validates the PipelineConfig
       cache_(config.cache_bytes, config.cache_shards, &registry_) {
   if (!model_factory) throw std::invalid_argument("GranuleService: null model factory");
@@ -191,13 +190,12 @@ GranuleService::GranuleService(const ServiceConfig& config,
   // The nn backend owns the replica checkout pool, one replica per worker.
   nn_backend_ = std::make_unique<pipeline::NnBackend>(
       std::move(model_factory), scaler, pipeline_.sequence_window, workers,
-      config_.inference_batch_windows, config_.model_version, &registry_);
+      config_.model_version, &registry_);
   if (tree_factory)
     tree_backend_ = std::make_unique<pipeline::DecisionTreeBackend>(tree_factory());
   BatchScheduler::Config sched_cfg;
   sched_cfg.workers = workers;
   sched_cfg.queue_capacity = config_.queue_capacity;
-  sched_cfg.class_weights = config_.class_weights;
   sched_cfg.registry = &registry_;
   sched_cfg.tracer = &tracer_;
   // Per-class latency is attributed at job completion with service_ms
@@ -314,33 +312,35 @@ void GranuleService::count_request(Priority cls) {
   requests_total_[static_cast<std::size_t>(cls)]->inc();
 }
 
-ProductFuture GranuleService::fast_hit(Priority cls,
-                                       std::shared_ptr<const GranuleProduct> hit) {
+ProductFuture GranuleService::fast_hit(Priority cls, std::shared_ptr<const GranuleProduct> hit,
+                                       const util::Timer& since) {
   fast_hits_total_->inc();
-  // The fast path records a literal 0 ms sample (bottom histogram bin) —
-  // same convention as the pre-obs metrics, and what keeps per-class latency
-  // an honest mix of hits and builds. No trace is minted: a RAM probe emits
-  // no spans, and an empty trace would only dilute sampling.
-  class_service_[static_cast<std::size_t>(cls)]->observe(0.0);
+  // The fast path records its measured time from submit entry (key
+  // derivation + RAM probe), which keeps per-class latency an honest mix of
+  // hits and builds. No trace is minted: a RAM probe emits no spans, and an
+  // empty trace would only dilute sampling.
+  class_service_[static_cast<std::size_t>(cls)]->observe(since.millis());
   std::promise<ProductResponse> ready;
   ready.set_value(ProductResponse{std::move(hit), true, 0.0, ServedFrom::ram});
   return ready.get_future().share();
 }
 
 ProductFuture GranuleService::submit(const ProductRequest& request) {
+  const util::Timer since;
   count_request(request.priority);
   const ProductKey key = key_for(request);
-  if (auto hit = cache_.get(key)) return fast_hit(request.priority, std::move(hit));
+  if (auto hit = cache_.get(key)) return fast_hit(request.priority, std::move(hit), since);
   return scheduler_->submit(request, key);
 }
 
 std::optional<ProductFuture> GranuleService::try_submit(
     const ProductRequest& request, std::optional<Priority>* shed_class) {
+  const util::Timer since;
   count_request(request.priority);
   const ProductKey key = key_for(request);
   if (auto hit = cache_.get(key)) {
     if (shed_class) shed_class->reset();
-    return fast_hit(request.priority, std::move(hit));
+    return fast_hit(request.priority, std::move(hit), since);
   }
   return scheduler_->try_submit(request, key, shed_class);
 }

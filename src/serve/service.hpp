@@ -41,6 +41,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -62,13 +63,13 @@
 #include "pipeline/classifier.hpp"
 #include "pipeline/product_builder.hpp"
 #include "serve/disk_cache.hpp"
-#include "serve/node.hpp"
 #include "serve/product_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace is2::serve {
 
@@ -104,15 +105,57 @@ class ShardIndex {
   std::map<std::pair<std::string, int>, std::vector<std::string>> beams_;
 };
 
-// `ClassMetrics` and `ServiceMetrics` live in serve/node.hpp: they are part
-// of the node surface the cluster router aggregates, not service internals.
+/// Per-priority-class slice of the service metrics: how much traffic the
+/// class sent and the service latency it observed. Fast RAM hits record the
+/// time from submit entry to the hit; scheduled jobs record queue wait +
+/// execution (disk load or full build) once per job at completion —
+/// coalesced waiters share that job's sample, so under same-key races
+/// latency.count() can be below requests.
+struct ClassMetrics {
+  std::uint64_t requests = 0;
+  obs::Latency latency;  ///< RAM probe / queue wait + disk load / + build
+};
+
+/// A read-only view of the service's `obs::Registry`: every count and
+/// latency is recorded there at the event, so metrics() and obs_snapshot()
+/// only read.
+struct ServiceMetrics {
+  CacheStats cache;          ///< RAM tier
+  DiskCacheStats disk;       ///< disk tier (zeroed when no disk tier; the
+                             ///< fleet-wide numbers when the tier is shared)
+  SchedulerStats scheduler;
+  std::uint64_t requests = 0;   ///< submit + try_submit calls
+  std::uint64_t fast_hits = 0;  ///< answered from RAM cache without dispatch
+  std::uint64_t writeback_failures = 0;  ///< async disk writes that threw
+  std::uint64_t inference_batches = 0;
+  std::uint64_t inference_windows = 0;
+  obs::Latency load;        ///< shard read + preprocess + resample + FPB
+  obs::Latency features;    ///< baseline + feature rows + standardization
+  obs::Latency inference;   ///< classify stage (batched backend inference)
+  obs::Latency seasurface;  ///< local sea surface detection
+  obs::Latency freeboard;   ///< freeboard computation
+  obs::Latency disk_load;   ///< disk-tier hit: read + deserialize + promote
+  obs::Latency total;       ///< whole build (cold only; resumed = suffix)
+  /// Scheduled jobs only (the fast RAM path never queues): how long the job
+  /// waited for a worker, and the full queue wait + execution. service_time
+  /// minus queue_wait is pure execution — the split the benches trend.
+  obs::Latency queue_wait;
+  obs::Latency service_time;
+  std::array<ClassMetrics, kPriorityClasses> by_class;  ///< index = Priority
+  /// Per-stage distributions of the seven stage-graph stages by StageId —
+  /// the `is2_serve_stage_ms{stage=<pipeline::stage_name>}` series (classify
+  /// under `inference`), so features/seasurface/freeboard equal the fields
+  /// above. Shard IO is serve-side and lives in `load`, not here. The
+  /// benches emit these.
+  std::array<obs::Latency, pipeline::kNumStages> builder{};
+  std::uint64_t resumed_builds = 0;  ///< builds seeded from a shallower kind
+};
 
 struct ServiceConfig {
   std::size_t workers = 4;            ///< scheduler worker threads / model replicas
   std::size_t queue_capacity = 64;    ///< bounded request queue (backpressure)
   std::size_t cache_bytes = 256u << 20;
   std::size_t cache_shards = 8;
-  std::size_t inference_batch_windows = 256;  ///< windows per forward pass
   std::uint64_t model_version = 0;    ///< bump when weights change
   /// Disk cache tier; empty = RAM tier only. Products persist here across
   /// service restarts (keyed by config/model hash, so stale entries are
@@ -126,16 +169,17 @@ struct ServiceConfig {
   /// service. When set, disk_cache_dir / disk_cache_bytes are ignored and
   /// the tier's stats/instruments live with the owner's registry.
   DiskCache* shared_disk = nullptr;
-  /// Scheduler weighted-dequeue shares (interactive, batch, background).
-  ClassWeights class_weights = {8, 3, 1};
-  /// obs tracing knobs for the service-owned Tracer. Sampling is tail-based
-  /// and per trace id; error/shed/slow traces are always kept.
-  double trace_sample_rate = 1.0;          ///< probability a trace is kept
-  std::size_t trace_ring_capacity = 8192;  ///< spans retained (newest win)
-  double trace_slow_ms = 1000.0;           ///< traces this slow always kept
+  /// Probability a trace of the service-owned Tracer is kept. Sampling is
+  /// tail-based and per trace id; error/shed/slow traces are always kept
+  /// (ring size and slow threshold: obs::TraceConfig's defaults).
+  double trace_sample_rate = 1.0;
 };
 
-class GranuleService : public NodeHandle {
+/// One serving node. Every method is thread-safe (the cluster router calls
+/// it from many client threads at once); shutdown() is idempotent and
+/// drains accepted work, after which the submit flavors return broken
+/// futures.
+class GranuleService {
  public:
   /// Builds one model replica per worker; every invocation must produce an
   /// architecturally and numerically identical model (e.g. construct and
@@ -160,7 +204,7 @@ class GranuleService : public NodeHandle {
   /// Asynchronous serve: cache fast path resolves immediately; cold keys
   /// dispatch through the coalescing scheduler (blocking when the queue is
   /// full). Unknown (granule, beam) resolves to a broken future.
-  ProductFuture submit(const ProductRequest& request) override;
+  ProductFuture submit(const ProductRequest& request);
 
   /// Load-shedding variant: never blocks. Under saturation a queued job of a
   /// class strictly below the request's is displaced first (background
@@ -169,17 +213,19 @@ class GranuleService : public NodeHandle {
   /// anything was shed.
   std::optional<ProductFuture> try_submit(
       const ProductRequest& request,
-      std::optional<Priority>* shed_class = nullptr) override;
+      std::optional<Priority>* shed_class = nullptr);
 
   /// Bulk cache warm-up on a map-reduce engine (one task per request).
   /// Returns the number of products actually built (cache misses).
   std::size_t warm(const std::vector<ProductRequest>& requests,
-                   mapred::Engine& engine) override;
+                   mapred::Engine& engine);
 
-  /// Cache key a request resolves to (exposed for tests / cache probes).
-  ProductKey key_for(const ProductRequest& request) const override;
+  /// Cache key a request resolves to. Services built from the same config
+  /// and model produce identical keys — what lets the cluster route by key
+  /// and fetch products across peers.
+  ProductKey key_for(const ProductRequest& request) const;
 
-  ServiceMetrics metrics() const override;
+  ServiceMetrics metrics() const;
 
   /// The service's instrument registry (every `is2_serve_*`, `is2_sched_*`
   /// and `is2_cache_*` metric of this instance lives here, always current —
@@ -190,14 +236,14 @@ class GranuleService : public NodeHandle {
   const obs::Tracer& tracer() const { return tracer_; }
 
   /// `registry().snapshot()` — what an exposition endpoint should serve.
-  obs::RegistrySnapshot obs_snapshot() const override { return registry_.snapshot(); }
+  obs::RegistrySnapshot obs_snapshot() const { return registry_.snapshot(); }
 
-  /// Peer-fetch surface (NodeHandle): speculative RAM-tier probe / insert,
-  /// no hit-miss accounting — the cluster moves products across nodes with
-  /// these instead of re-running shard IO + inference.
-  std::shared_ptr<const GranuleProduct> peek_ram(const ProductKey& key) override;
-  void promote_ram(const ProductKey& key,
-                   std::shared_ptr<const GranuleProduct> product) override;
+  /// Peer-fetch surface: speculative RAM-tier probe / insert by exact key,
+  /// no hit-miss accounting (router traffic, not client requests) — the
+  /// cluster moves products across nodes with these instead of re-running
+  /// shard IO + inference.
+  std::shared_ptr<const GranuleProduct> peek_ram(const ProductKey& key);
+  void promote_ram(const ProductKey& key, std::shared_ptr<const GranuleProduct> product);
 
   /// Best-effort snapshot of the trace ring, oldest first.
   std::vector<obs::Span> trace_spans() const { return tracer_.spans(); }
@@ -213,7 +259,7 @@ class GranuleService : public NodeHandle {
   void wait_disk_writebacks();
 
   /// Drain accepted work, then pending disk write-backs (idempotent).
-  void shutdown() override;
+  void shutdown();
 
  private:
   ProductResponse build(const ProductRequest& request, const ProductKey& key);
@@ -228,8 +274,9 @@ class GranuleService : public NodeHandle {
                                                         pipeline::ProductKind* found_kind);
   void count_request(Priority cls);
   /// ProductResponse for a RAM-tier hit + the fast-path bookkeeping (fast-hit
-  /// counter, ~0 class latency sample).
-  ProductFuture fast_hit(Priority cls, std::shared_ptr<const GranuleProduct> hit);
+  /// counter, class latency sample of `since`: submit entry to the hit).
+  ProductFuture fast_hit(Priority cls, std::shared_ptr<const GranuleProduct> hit,
+                         const util::Timer& since);
   void schedule_writeback(const ProductKey& key,
                           std::shared_ptr<const GranuleProduct> product);
 

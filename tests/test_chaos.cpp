@@ -8,7 +8,7 @@
 // CollectiveAbort), and the cluster's self-healing loop — consecutive
 // failures quarantine with live failover, hot keys re-replicate off the
 // quarantined node, revive restores the ring bit-identically, dead nodes
-// are never probed.
+// are never probed, and routing imbalance averages over live nodes only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -423,28 +423,6 @@ TEST(TrainerChaos, SurfacesCollectiveAbortInsteadOfHanging) {
 }
 
 // ---------------------------------------------------------------------------
-// ClusterMetrics::imbalance (pure)
-// ---------------------------------------------------------------------------
-
-TEST(ClusterMetricsUnit, ImbalanceAveragesOverLiveNodesOnly) {
-  serve::ClusterMetrics m;
-  EXPECT_DOUBLE_EQ(m.imbalance(), 0.0);  // nothing routed yet
-
-  m.live = {true, true, true};
-  m.routed = {4, 2, 0};
-  EXPECT_DOUBLE_EQ(m.imbalance(), 2.0);  // max 4 / mean 2
-
-  m.routed = {2, 2, 2};
-  EXPECT_DOUBLE_EQ(m.imbalance(), 1.0);  // perfectly even
-
-  // A dead node drops out of the denominator: its zero must not flatter
-  // (or damn) the survivors' balance.
-  m.live = {true, false, true};
-  m.routed = {4, 0, 2};
-  EXPECT_DOUBLE_EQ(m.imbalance(), 4.0 / 3.0);
-}
-
-// ---------------------------------------------------------------------------
 // Campaign-backed chaos: deadlines, write-back retry, cluster self-healing
 // ---------------------------------------------------------------------------
 
@@ -464,6 +442,14 @@ void expect_bit_identical(const GranuleProduct& a, const GranuleProduct& b) {
     EXPECT_EQ(a.freeboard.points[i].freeboard, b.freeboard.points[i].freeboard);
     EXPECT_EQ(a.freeboard.points[i].cls, b.freeboard.points[i].cls);
   }
+}
+
+/// A router counter from the cluster's registry.
+std::uint64_t counter(const Cluster& cluster, const std::string& name) {
+  const obs::RegistrySnapshot snap = cluster.registry().snapshot();
+  const obs::MetricPoint* p = snap.find(name);
+  EXPECT_NE(p, nullptr) << name;
+  return p ? static_cast<std::uint64_t>(p->value) : 0;
 }
 
 class ChaosCampaign : public ::testing::Test {
@@ -659,56 +645,62 @@ TEST_F(ChaosCampaign, WritebackExhaustionWarnsWithTheKey) {
 }
 
 TEST_F(ChaosCampaign, ConsecutiveSubmitFaultsQuarantineWithLiveFailover) {
-  ClusterConfig cfg;
-  cfg.nodes = 3;
-  cfg.replication_factor = 2;
-  cfg.quarantine_after = 3;
-  cfg.node.workers = 1;
-  auto cluster = make_cluster(cfg);
+  // submit and try_submit share one failover loop; both must fail over,
+  // feed the failure ledger and quarantine alike.
+  for (const bool use_try_submit : {false, true}) {
+    SCOPED_TRACE(use_try_submit ? "try_submit" : "submit");
+    ClusterConfig cfg;
+    cfg.nodes = 3;
+    cfg.replication_factor = 2;
+    cfg.quarantine_after = 3;
+    cfg.node.workers = 1;
+    auto cluster = make_cluster(cfg);
+    const auto serve = [&](const ProductRequest& req) {
+      // value(): a shed (nullopt) fails the test with bad_optional_access.
+      return use_try_submit ? cluster->try_submit(req).value().get()
+                            : cluster->submit(req).get();
+    };
 
-  const ProductRequest r = request(BeamId::Gt1r);
-  const std::uint32_t owner = cluster->owner_of(cluster->key_for(r));
+    const ProductRequest r = request(BeamId::Gt1r);
+    const std::uint32_t owner = cluster->owner_of(cluster->key_for(r));
 
-  // A genuinely dead node fails every surface: submits AND peer probes.
-  // (Failing only node.submit would let a successful peer.peek against the
-  // owner reset its streak — a live probe is liveness evidence.)
-  util::fault::Plan plan(5);
-  SiteConfig die;
-  die.instance = static_cast<int>(owner);
-  die.fail_every = 1;
-  plan.on("node.submit", die);
-  plan.on("peer.peek", die);
-  {
-    util::fault::Armed armed(plan);
-    // Every submit hits the faulty owner, fails, and fails over to a live
-    // replica — the client sees three served requests, zero errors.
-    for (int i = 0; i < 3; ++i)
-      ASSERT_NE(cluster->submit(r).get().product, nullptr) << "submit " << i;
+    // A genuinely dead node fails every surface: submits AND peer probes.
+    // (Failing only node.submit would let a successful peer.peek against the
+    // owner reset its streak — a live probe is liveness evidence.)
+    util::fault::Plan plan(5);
+    SiteConfig die;
+    die.instance = static_cast<int>(owner);
+    die.fail_every = 1;
+    plan.on("node.submit", die);
+    plan.on("peer.peek", die);
+    {
+      util::fault::Armed armed(plan);
+      // Every request hits the faulty owner, fails, and fails over to a
+      // live replica — the client sees three served requests, zero errors.
+      for (int i = 0; i < 3; ++i) ASSERT_NE(serve(r).product, nullptr) << "request " << i;
 
-    // The third consecutive failure crossed the threshold: the owner is out
-    // of the ring (so the rule stops matching) but not drained.
-    EXPECT_TRUE(cluster->is_quarantined(owner));
-    EXPECT_FALSE(cluster->is_live(owner));
-    ASSERT_NE(cluster->submit(r).get().product, nullptr);  // routed around it
+      // The third consecutive failure crossed the threshold: the owner is
+      // out of the ring (so the rule stops matching) but not drained.
+      EXPECT_TRUE(cluster->is_quarantined(owner));
+      EXPECT_FALSE(cluster->is_live(owner));
+      ASSERT_NE(serve(r).product, nullptr);  // routed around it
+    }
+    EXPECT_EQ(counter(*cluster, "is2_cluster_quarantine_total"), 1u);
+    EXPECT_GE(counter(*cluster, "is2_cluster_node_failures_total"), 3u);
+
+    // Revive rejoins; a full quarantine/revive cycle only ever increments
+    // the transition counters (monotonic, no double counting on no-op
+    // calls).
+    cluster->revive_node(owner);
+    EXPECT_TRUE(cluster->is_live(owner));
+    cluster->revive_node(owner);  // no-op: already live
+    cluster->quarantine_node(owner);
+    cluster->quarantine_node(owner);  // no-op: already out
+    cluster->revive_node(owner);
+    EXPECT_EQ(counter(*cluster, "is2_cluster_quarantine_total"), 2u);
+    EXPECT_EQ(counter(*cluster, "is2_cluster_revive_total"), 2u);
+    EXPECT_EQ(cluster->live_count(), 3u);
   }
-  auto m = cluster->metrics();
-  EXPECT_EQ(m.quarantines, 1u);
-  EXPECT_GE(m.node_failures, 3u);
-  EXPECT_TRUE(m.quarantined[owner]);
-  EXPECT_FALSE(m.live[owner]);
-
-  // Revive rejoins; a full quarantine/revive cycle only ever increments the
-  // transition counters (monotonic, no double counting on no-op calls).
-  cluster->revive_node(owner);
-  EXPECT_TRUE(cluster->is_live(owner));
-  cluster->revive_node(owner);  // no-op: already live
-  cluster->quarantine_node(owner);
-  cluster->quarantine_node(owner);  // no-op: already out
-  cluster->revive_node(owner);
-  m = cluster->metrics();
-  EXPECT_EQ(m.quarantines, 2u);
-  EXPECT_EQ(m.revives, 2u);
-  EXPECT_EQ(cluster->live_count(), 3u);
 }
 
 TEST_F(ChaosCampaign, QuarantineRereplicatesHotKeysAndReviveKeepsRamWarm) {
@@ -742,7 +734,7 @@ TEST_F(ChaosCampaign, QuarantineRereplicatesHotKeysAndReviveKeepsRamWarm) {
   // Quarantine the owner: its RAM is intact, so the healing pass copies the
   // hot key to its new owner before any traffic can miss there.
   cluster->quarantine_node(owner);
-  EXPECT_GE(cluster->metrics().rereplicated_keys, 1u);
+  EXPECT_GE(counter(*cluster, "is2_cluster_rereplicated_keys_total"), 1u);
 
   const auto healed = cluster->submit(r).get();
   ASSERT_NE(healed.product, nullptr);
@@ -833,14 +825,47 @@ TEST_F(ChaosCampaign, HealthProbesSkipDeadNodesAndFeedTheQuarantineLedger) {
   EXPECT_TRUE(cluster->is_quarantined(2));
   EXPECT_EQ(cluster->live_count(), 0u);  // fleet dark, reported — not crashed
 
-  const auto m = cluster->metrics();
-  EXPECT_EQ(m.quarantines, 2u);
-  EXPECT_GE(m.node_failures, 2u);
+  EXPECT_EQ(counter(*cluster, "is2_cluster_quarantine_total"), 2u);
+  EXPECT_GE(counter(*cluster, "is2_cluster_node_failures_total"), 2u);
   // A killed node is terminal: revive only applies to quarantine.
   cluster->revive_node(0);
   EXPECT_FALSE(cluster->is_live(0));
   cluster->revive_node(2);
   EXPECT_TRUE(cluster->is_live(2));
+}
+
+TEST_F(ChaosCampaign, ImbalanceAveragesOverLiveNodesOnly) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.node.workers = 1;
+  auto cluster = make_cluster(cfg);
+  EXPECT_DOUBLE_EQ(cluster->imbalance(), 0.0);  // nothing routed yet
+
+  // Two requests owned by each node, for granules the shard index does not
+  // hold: each is routed and counted, then fails fast on its node (no shard
+  // IO, no inference).
+  std::array<std::vector<ProductRequest>, 3> owned;
+  const auto short_of_two = [](const auto& v) { return v.size() < 2; };
+  for (int i = 0; std::any_of(owned.begin(), owned.end(), short_of_two); ++i) {
+    ProductRequest r;
+    r.granule_id = "unindexed_" + std::to_string(i);
+    auto& mine = owned[cluster->owner_of(cluster->key_for(r))];
+    if (mine.size() < 2) mine.push_back(r);
+  }
+  const auto route_to = [&](std::size_t node) {
+    for (const ProductRequest& r : owned[node])
+      EXPECT_THROW(cluster->submit(r).get(), std::runtime_error);
+  };
+
+  for (std::size_t node = 0; node < 3; ++node) route_to(node);
+  EXPECT_DOUBLE_EQ(cluster->imbalance(), 1.0);  // 2/2/2: perfectly even
+  route_to(0);
+  EXPECT_DOUBLE_EQ(cluster->imbalance(), 1.5);  // 4/2/2: max 4 / mean 8/3
+
+  // A dead node drops out of the denominator: its count must not flatter
+  // (or damn) the survivors' balance.
+  cluster->kill_node(1);
+  EXPECT_DOUBLE_EQ(cluster->imbalance(), 4.0 / 3.0);  // 4/2 over the live two
 }
 
 }  // namespace

@@ -62,6 +62,20 @@ void expect_bit_identical(const GranuleProduct& a, const GranuleProduct& b) {
   }
 }
 
+/// A router counter from the cluster's registry.
+std::uint64_t counter(const Cluster& cluster, const std::string& name,
+                      const obs::Labels& labels = {}) {
+  const obs::RegistrySnapshot snap = cluster.registry().snapshot();
+  const obs::MetricPoint* p = snap.find(name, labels);
+  EXPECT_NE(p, nullptr) << name;
+  return p ? static_cast<std::uint64_t>(p->value) : 0;
+}
+
+/// Requests the router sent to node `i`.
+std::uint64_t routed(const Cluster& cluster, std::size_t i) {
+  return counter(cluster, "is2_cluster_routed_total", {{"node", "node" + std::to_string(i)}});
+}
+
 // ---------------------------------------------------------------------------
 // HashRing (pure, no campaign)
 // ---------------------------------------------------------------------------
@@ -273,12 +287,14 @@ TEST_F(ClusterCampaign, RoutingIsDeterministicAndKeysAreFleetPortable) {
   // Cold keys are owner-routed: both requests land on the same node.
   ASSERT_NE(cluster->submit(r).get().product, nullptr);
   ASSERT_NE(cluster->submit(r).get().product, nullptr);
-  const auto m = cluster->metrics();
-  EXPECT_EQ(m.requests, 2u);
-  EXPECT_EQ(m.routed[owner], 2u);
-  EXPECT_EQ(m.nodes[owner].fast_hits, 1u);  // second request RAM-hit there
-  EXPECT_EQ(m.replica_routes, 0u);          // never crossed the hot threshold
-  EXPECT_DOUBLE_EQ(m.imbalance(), 3.0);     // all load on 1 of 3 live nodes
+  std::uint64_t requests = 0;
+  for (std::size_t i = 0; i < cluster->num_nodes(); ++i) requests += routed(*cluster, i);
+  EXPECT_EQ(requests, 2u);
+  EXPECT_EQ(routed(*cluster, owner), 2u);
+  EXPECT_EQ(cluster->node(owner).metrics().fast_hits, 1u);  // second request RAM-hit there
+  // Never crossed the hot threshold.
+  EXPECT_EQ(counter(*cluster, "is2_cluster_replica_route_total"), 0u);
+  EXPECT_DOUBLE_EQ(cluster->imbalance(), 3.0);  // all load on 1 of 3 live nodes
 }
 
 TEST_F(ClusterCampaign, PeerFetchSkipsShardIoAndInference) {
@@ -297,7 +313,7 @@ TEST_F(ClusterCampaign, PeerFetchSkipsShardIoAndInference) {
   const auto first = cluster->submit(r).get();
   ASSERT_NE(first.product, nullptr);
   EXPECT_EQ(first.source, ServedFrom::build);
-  EXPECT_GT(cluster->metrics().hot_keys, 0u);
+  EXPECT_GT(counter(*cluster, "is2_cluster_hot_key_total"), 0u);
 
   // Request 2 lands on reps[1], whose RAM is cold — the router probes the
   // replica set, finds the product on reps[0], and promotes it across.
@@ -310,16 +326,16 @@ TEST_F(ClusterCampaign, PeerFetchSkipsShardIoAndInference) {
   EXPECT_EQ(second.product.get(), first.product.get());
   EXPECT_EQ(h5::load_granule_call_count(), loads_before);  // no shard IO
 
-  const auto m = cluster->metrics();
-  EXPECT_EQ(m.peer_fetches, 1u);
-  EXPECT_GE(m.peer_probes, 1u);
-  EXPECT_EQ(m.routed[reps[1]], 1u);
-  EXPECT_EQ(m.replica_routes, 1u);
+  EXPECT_EQ(counter(*cluster, "is2_cluster_peer_fetch_total"), 1u);
+  EXPECT_GE(counter(*cluster, "is2_cluster_peer_probe_total"), 1u);
+  EXPECT_EQ(routed(*cluster, reps[1]), 1u);
+  EXPECT_EQ(counter(*cluster, "is2_cluster_replica_route_total"), 1u);
   // The fetching node served from RAM without ever running the pipeline.
-  EXPECT_EQ(m.nodes[reps[1]].inference_windows, 0u);
-  EXPECT_EQ(m.nodes[reps[1]].scheduler.dispatched, 0u);
-  EXPECT_EQ(m.nodes[reps[1]].fast_hits, 1u);
-  EXPECT_GT(m.nodes[reps[0]].inference_windows, 0u);
+  const auto fetcher = cluster->node(reps[1]).metrics();
+  EXPECT_EQ(fetcher.inference_windows, 0u);
+  EXPECT_EQ(fetcher.scheduler.dispatched, 0u);
+  EXPECT_EQ(fetcher.fast_hits, 1u);
+  EXPECT_GT(cluster->node(reps[0]).metrics().inference_windows, 0u);
 }
 
 TEST_F(ClusterCampaign, NodeKillReRoutesThroughSharedDiskBitIdentically) {
@@ -327,7 +343,7 @@ TEST_F(ClusterCampaign, NodeKillReRoutesThroughSharedDiskBitIdentically) {
   cfg.nodes = 3;
   cfg.replication_factor = 1;  // owner-only: the kill must do the re-route
   cfg.node.workers = 1;
-  cfg.shared_disk_dir = dir_ + "/cluster_disk_kill";
+  cfg.node.disk_cache_dir = dir_ + "/cluster_disk_kill";
   auto cluster = make_cluster(cfg);
   ASSERT_NE(cluster->shared_disk(), nullptr);
 
@@ -347,7 +363,7 @@ TEST_F(ClusterCampaign, NodeKillReRoutesThroughSharedDiskBitIdentically) {
   EXPECT_EQ(cold.source, ServedFrom::build);
   expect_bit_identical(*cold.product, reference);
   cluster->wait_disk_writebacks();
-  EXPECT_EQ(cluster->metrics().shared_disk.writes, 1u);
+  EXPECT_EQ(cluster->shared_disk()->stats().writes, 1u);
 
   cluster->kill_node(owner);
   cluster->kill_node(owner);  // idempotent
@@ -365,10 +381,9 @@ TEST_F(ClusterCampaign, NodeKillReRoutesThroughSharedDiskBitIdentically) {
   EXPECT_EQ(h5::load_granule_call_count(), loads_before);  // no shard IO
   expect_bit_identical(*rerouted.product, reference);
 
-  const auto m = cluster->metrics();
-  EXPECT_GE(m.shared_disk.hits, 1u);
-  EXPECT_EQ(m.routed[new_owner], 1u);
-  EXPECT_EQ(m.nodes[new_owner].inference_windows, 0u);  // disk hit, no build
+  EXPECT_GE(cluster->shared_disk()->stats().hits, 1u);
+  EXPECT_EQ(routed(*cluster, new_owner), 1u);
+  EXPECT_EQ(cluster->node(new_owner).metrics().inference_windows, 0u);  // disk hit, no build
 }
 
 TEST_F(ClusterCampaign, WarmPrefetchesShallowKindAndSeedsDeepening) {
@@ -399,7 +414,7 @@ TEST_F(ClusterCampaign, WarmPrefetchesShallowKindAndSeedsDeepening) {
     EXPECT_EQ(nm.scheduler.dispatched, 0u);
   }
   EXPECT_EQ(warmed_entries, all.size());
-  EXPECT_EQ(cluster->metrics().hot_keys, 0u);
+  EXPECT_EQ(counter(*cluster, "is2_cluster_hot_key_total"), 0u);
 
   // A deep request now resumes from the warmed prefix on its owner: no
   // shard IO, no inference, only the seasurface + freeboard suffix.

@@ -5,19 +5,56 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
+#include <type_traits>
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
 #include "geo/polar_stereo.hpp"
 #include "util/stats.hpp"
 
+// Counting global operator new: bytes allocated while counting is on, so a
+// test can bound what one call allocates.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocated_bytes{0};
+}  // namespace
+
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them), so every scalar new/delete pair is malloc/free, also under a
+// sanitizer that supplies its own defaults.
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  return std::malloc(bytes ? bytes : 1);
+}
+void* operator new(std::size_t bytes) {
+  if (void* p = operator new(bytes, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 namespace {
 
 using namespace is2;
+
+/// Bytes `fn` allocates through operator new.
+template <typename Fn>
+std::size_t allocated_bytes(Fn fn) {
+  g_allocated_bytes = 0;
+  g_count_allocations = true;
+  fn();
+  g_count_allocations = false;
+  return g_allocated_bytes;
+}
 using atl03::BeamId;
 using atl03::PreprocessConfig;
 using atl03::SignalConf;
@@ -385,6 +422,49 @@ TEST(PreprocessReference, GapsWiderThanABinFillFromNeighbours) {
   for (std::size_t i = 1; i < got.size(); ++i)
     if (got.s[i] >= 3'500.0 && got.s[i - 1] < 3'000.0) return;  // the gap survives
   ADD_FAILURE() << "expected the 500 m along-track gap in the output";
+}
+
+TEST(PreprocessReference, FarAlongTrackPhotonAllocatesPerPhotonNotPerSpan) {
+  // One extra photon 1e8 m down-track. Outlier bins sized by the
+  // along-track span would take 4e6 bins (32 MB) for it; bins keyed by the
+  // sorted runs cost the same as for the beam without it.
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  std::size_t from = 0;
+  while (raw.signal_conf[from] < static_cast<std::int8_t>(SignalConf::High)) ++from;
+  auto far = raw;
+  far.delta_time.push_back(raw.delta_time[from]);
+  far.lat.push_back(raw.lat[from]);
+  far.lon.push_back(raw.lon[from]);
+  far.h.push_back(raw.h[from]);
+  far.along_track.push_back(1e8);
+  far.signal_conf.push_back(raw.signal_conf[from]);
+  if (!raw.truth_class.empty()) far.truth_class.push_back(raw.truth_class[from]);
+
+  atl03::PreprocessedBeam clean, got;
+  const std::size_t clean_bytes =
+      allocated_bytes([&] { clean = atl03::preprocess_beam(fx.granule, raw, fx.corrections); });
+  const std::size_t far_bytes =
+      allocated_bytes([&] { got = atl03::preprocess_beam(fx.granule, far, fx.corrections); });
+  std::printf("%zu photons: %zu bytes allocated, %zu with the far photon\n", raw.size(),
+              clean_bytes, far_bytes);
+  EXPECT_LT(far_bytes, clean_bytes * 3 / 2);
+
+  // The unskewed output, then the far photon (alone in its bin, so its own
+  // median keeps it).
+  ASSERT_EQ(got.size(), clean.size() + 1);
+  EXPECT_EQ(got.s.back(), 1e8);
+  EXPECT_EQ(got.t.back(), raw.delta_time[from]);
+  const auto head = [&](const auto& v) {
+    return std::vector<typename std::decay_t<decltype(v)>::value_type>(v.begin(), v.end() - 1);
+  };
+  EXPECT_TRUE(bitwise_equal(head(got.s), clean.s)) << "s";
+  EXPECT_TRUE(bitwise_equal(head(got.h), clean.h)) << "h";
+  EXPECT_TRUE(bitwise_equal(head(got.t), clean.t)) << "t";
+  EXPECT_TRUE(bitwise_equal(head(got.x), clean.x)) << "x";
+  EXPECT_TRUE(bitwise_equal(head(got.y), clean.y)) << "y";
+  EXPECT_TRUE(bitwise_equal(head(got.bckgrd_rate), clean.bckgrd_rate)) << "bckgrd_rate";
+  EXPECT_TRUE(bitwise_equal(head(got.truth_class), clean.truth_class)) << "truth_class";
 }
 
 TEST(PreprocessReference, PlantedOutliersRemovedIdentically) {

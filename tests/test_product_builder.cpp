@@ -319,7 +319,7 @@ TEST_F(BuilderCampaign, BackendFingerprintsDistinguishIdentity) {
         util::Rng rng(99);
         return nn::make_lstm_model(config_->sequence_window, resample::FeatureRow::kDim, rng);
       },
-      *scaler_, config_->sequence_window, 1, 256, /*weights_version=*/1);
+      *scaler_, config_->sequence_window, 1, /*weights_version=*/1);
   EXPECT_NE(nn_a.fingerprint(), nn_v1.fingerprint());
 
   // A refit scaler changes predictions, so it must change identity too —

@@ -424,24 +424,25 @@ TEST_F(DiskCacheTest, StartupScanDropsPartialAndStaleFiles) {
 // ---------------------------------------------------------------------------
 
 TEST(PriorityQueue, WeightedDequeueAndFifoWithinClass) {
-  serve::PriorityQueue<int> q(16, {2, 1, 1});
-  ASSERT_TRUE(q.try_push(100, Priority::background));
-  ASSERT_TRUE(q.try_push(101, Priority::background));
-  ASSERT_TRUE(q.try_push(10, Priority::batch));
-  ASSERT_TRUE(q.try_push(11, Priority::batch));
-  ASSERT_TRUE(q.try_push(1, Priority::interactive));
-  ASSERT_TRUE(q.try_push(2, Priority::interactive));
-  EXPECT_EQ(q.size(), 6u);
+  serve::PriorityQueue<int> q(16);
+  for (int i = 100; i <= 101; ++i) ASSERT_TRUE(q.try_push(i, Priority::background));
+  for (int i = 10; i <= 13; ++i) ASSERT_TRUE(q.try_push(i, Priority::batch));
+  for (int i = 1; i <= 9; ++i) ASSERT_TRUE(q.try_push(i, Priority::interactive));
+  EXPECT_EQ(q.size(), 15u);
   EXPECT_EQ(q.size(Priority::background), 2u);
 
-  // Weights (2,1,1): interactive twice, then batch, then background, then a
-  // credit refill lets the remaining batch/background items through — FIFO
+  // Weights (8,3,1): eight interactive, three batch, one background, then a
+  // credit refill lets the remaining item of each class through — FIFO
   // within each class throughout.
   std::vector<std::pair<int, Priority>> order;
-  for (int i = 0; i < 6; ++i) order.push_back(*q.pop());
-  const std::vector<std::pair<int, Priority>> expected = {
-      {1, Priority::interactive}, {2, Priority::interactive}, {10, Priority::batch},
-      {100, Priority::background}, {11, Priority::batch},     {101, Priority::background}};
+  for (int i = 0; i < 15; ++i) order.push_back(*q.pop());
+  std::vector<std::pair<int, Priority>> expected;
+  for (int i = 1; i <= 8; ++i) expected.emplace_back(i, Priority::interactive);
+  for (int i = 10; i <= 12; ++i) expected.emplace_back(i, Priority::batch);
+  expected.emplace_back(100, Priority::background);
+  expected.emplace_back(9, Priority::interactive);
+  expected.emplace_back(13, Priority::batch);
+  expected.emplace_back(101, Priority::background);
   EXPECT_EQ(order, expected);
 
   q.close();
@@ -500,7 +501,7 @@ TEST(PriorityQueue, BlockingPushWaitsForSpaceOrClose) {
   const auto depth_of = [&](Priority cls) {
     return depth[static_cast<std::size_t>(cls)]->value();
   };
-  serve::PriorityQueue<int> q(1, {8, 3, 1}, depth);
+  serve::PriorityQueue<int> q(1, depth);
 
   // A blocking push resumes after a pop makes room.
   ASSERT_TRUE(q.push(1, Priority::batch));

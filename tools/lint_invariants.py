@@ -5,7 +5,7 @@ Usage:
     lint_invariants.py [--root DIR]    # lint the tree (default: repo root)
     lint_invariants.py --self-test     # prove every rule actually fires
 
-Six rules, each a contract stated in the docs that previously lived only
+Seven rules, each a contract stated in the docs that previously lived only
 in review discipline:
 
   R1  obs metric names at Registry call sites are Prometheus-valid
@@ -45,9 +45,17 @@ in review discipline:
       Counters are bumped at the event (docs/observability.md, "One
       store").
 
+  R7  the root CMakeLists.txt compiles `is2` with `-ffp-contract=off` as a
+      PUBLIC option, so the library and every test, bench and example that
+      links it never fuse `a*b+c` into an FMA. The bit-identity suites
+      compare fast paths with their oracles bitwise; under an FMA-capable
+      ISA flag a contraction in one path and not the other changes the last
+      bit (docs/performance.md).
+
 `--self-test` copies a minimal tree into a tempdir, seeds one violation per
-rule, and asserts the linter exits nonzero having caught all six — CI runs
-this before the real lint so a silently-broken rule cannot pass the tree.
+rule, and asserts the linter exits nonzero having caught all seven — CI
+runs this before the real lint so a silently-broken rule cannot pass the
+tree.
 
 Exit status: 0 clean, 1 on any violation (all violations are printed),
 2 on usage/IO errors.
@@ -83,6 +91,10 @@ COUNTER_INC_RE = re.compile(r"(?:->|\.)\s*inc\s*\(")
 BINARY_MINUS_RE = re.compile(r"[\w)\]]\s*-(?![->=])\s*[\w(]")
 
 CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
+
+# R7: the PUBLIC no-contraction option on the is2 target.
+FP_CONTRACT_RE = re.compile(
+    r"target_compile_options\s*\(\s*is2\s+PUBLIC\b[^)]*-ffp-contract=off\b")
 
 
 def iter_files(root: str, subdirs, exts=CPP_EXTS):
@@ -273,6 +285,24 @@ def check_r6_counter_deltas(root: str):
     return violations
 
 
+def check_r7_fp_contract(root: str):
+    """R7: is2 is built with a PUBLIC -ffp-contract=off."""
+    path = os.path.join(root, "CMakeLists.txt")
+    try:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return ["R7 CMakeLists.txt:1: missing (the is2 target's compile options live here)"]
+    code = "\n".join(line.split("#", 1)[0] for line in lines)
+    if FP_CONTRACT_RE.search(code):
+        return []
+    return [
+        "R7 CMakeLists.txt:1: no `target_compile_options(is2 PUBLIC ... -ffp-contract=off)` — "
+        "without it an FMA-capable ISA flag can fuse a*b+c in one path of a bit-identity "
+        "pair and not the other"
+    ]
+
+
 def run_lint(root: str) -> int:
     violations = []
     violations += check_r1_metric_names(root)
@@ -281,6 +311,7 @@ def run_lint(root: str) -> int:
     violations += check_r4_naked_primitives(root)
     violations += check_r5_openmp(root)
     violations += check_r6_counter_deltas(root)
+    violations += check_r7_fp_contract(root)
     for v in violations:
         print(v)
     if violations:
@@ -291,7 +322,7 @@ def run_lint(root: str) -> int:
 
 
 def self_test() -> int:
-    """Seed one violation per rule in a scratch tree; all six must fire."""
+    """Seed one violation per rule in a scratch tree; all seven must fire."""
     with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
         os.makedirs(os.path.join(tmp, "src", "serve"))
         os.makedirs(os.path.join(tmp, "src", "util"))
@@ -346,6 +377,15 @@ def self_test() -> int:
                 "}\n"
             )
 
+        # R7: the flag only in a comment and as a PRIVATE option — neither
+        # reaches the tests and benches, so the rule must still fire.
+        with open(os.path.join(tmp, "CMakeLists.txt"), "w") as f:
+            f.write(
+                "add_library(is2 STATIC a.cpp)\n"
+                "# target_compile_options(is2 PUBLIC -ffp-contract=off)\n"
+                "target_compile_options(is2 PRIVATE -Wall -ffp-contract=off)\n"
+            )
+
         found = []
         found += check_r1_metric_names(tmp)
         found += check_r2_fault_sites(tmp)
@@ -353,11 +393,12 @@ def self_test() -> int:
         found += check_r4_naked_primitives(tmp)
         found += check_r5_openmp(tmp)
         found += check_r6_counter_deltas(tmp)
+        found += check_r7_fp_contract(tmp)
         for v in found:
             print(f"  seeded: {v}")
 
         fired = {v.split()[0] for v in found}
-        missing = {"R1", "R2", "R3", "R4", "R5", "R6"} - fired
+        missing = {"R1", "R2", "R3", "R4", "R5", "R6", "R7"} - fired
         if missing:
             print(f"self-test FAILED: rule(s) did not fire: {sorted(missing)}")
             return 1
@@ -372,6 +413,12 @@ def self_test() -> int:
         r6_hits = [v for v in found if v.startswith("R6")]
         if [v.split()[1] for v in r6_hits] != [os.path.join("src", "serve", "tier.cpp") + ":4:"]:
             print(f"self-test FAILED: R6 must fire on the counter delta only, got {r6_hits}")
+            return 1
+        # R7 control: the PUBLIC option itself, split over lines, passes.
+        with open(os.path.join(tmp, "CMakeLists.txt"), "w") as f:
+            f.write("target_compile_options(is2\n  PUBLIC -ffp-contract=off)\n")
+        if check_r7_fp_contract(tmp):
+            print("self-test FAILED: R7 fired on a PUBLIC -ffp-contract=off")
             return 1
         if run_lint_exit_nonzero(tmp) != 1:
             print("self-test FAILED: lint on a seeded tree must exit 1")
